@@ -3,11 +3,15 @@
 #   make check      — what CI runs: gofmt gate + vet + eomlvet + race tests
 #                     + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
-#                     bench-diff
+#                     bench-diff + the granule benchmark's own tests and
+#                     a one-second correctness run of it
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
 #   make bench-diff — gate the committed bench records: fails on >10%
 #                     throughput regression $(BENCH_OLD) → $(BENCH_NEW)
+#   make bench-granule — the four-workload granule benchmark declared in
+#                     BENCHMARK.json (benchmarks/README.md), full length;
+#                     this is where performance claims are made
 
 GO ?= go
 BENCHTIME ?= 1s
@@ -22,7 +26,7 @@ BENCH_PAT := BenchmarkMatMulBlocked|BenchmarkMatMulSmall|BenchmarkEncodeArena|Be
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e serve-smoke fleet-smoke check
+.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e bench-granule bench-granule-test bench-granule-smoke serve-smoke fleet-smoke check
 
 build:
 	$(GO) build ./...
@@ -104,8 +108,27 @@ fleet-smoke:
 bench-diff:
 	$(GO) run ./cmd/benchdiff -require '$(BENCH_REQUIRE)' $(BENCH_OLD) $(BENCH_NEW)
 
+# The granule benchmark (BENCHMARK.json, benchmarks/README.md): four
+# workloads end to end, results as JSON Lines. Full length (about a
+# minute and a half), so not part of check; compare two result files with
+# `bash benchmarks/run.sh -compare old.jsonl new.jsonl`.
+bench-granule:
+	bash benchmarks/run.sh --workload all --out bench-granule.jsonl
+
+# benchmarks/ is its own module, so the root `go test ./...` does not
+# reach its tests (percentile rule, schedule, BENCHMARK.json drift,
+# -compare verdicts, corrupted-label self-test).
+bench-granule-test:
+	cd benchmarks && $(GO) test ./...
+
+# Correctness gate only: one second of campaign_local still runs ten
+# campaigns and checks every shipped label against the reference; the
+# numbers it prints are too short to mean anything.
+bench-granule-smoke:
+	bash benchmarks/run.sh --workload campaign_local --seconds 1
+
 # Every figure/table/ablation benchmark in the repo.
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff
+check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff bench-granule-test bench-granule-smoke

@@ -152,12 +152,12 @@ tile:
   pixels: 8                # 128 / archive scale (laads-server -scale 16)
   min_cloud_fraction: 0.3
 
-poll_interval_ms: 50      # monitor crawl period
+poll_interval_ms: 50      # monitor fallback crawl period (tile files the run writes are picked up at once)
 stall_timeout_ms: 300000  # abort if inference makes no progress this long
 
 batch:
-  tiles: 256              # flush a coalesced encode batch at this many tiles
-  delay_ms: 20            # ... or this long after its first tile
+  tiles: 256              # cap on one coalesced encode batch
+  delay_ms: 20            # deprecated, ignored since PR 13 (an idle encoder takes a file at once)
 
 precision: float32        # encode arithmetic: float32 (oracle) or int8 (quantized, faster)
 

@@ -12,13 +12,12 @@ import (
 
 // BatchConfig tunes the cross-file inference batcher.
 type BatchConfig struct {
-	// MaxTiles flushes the pending batch once this many tiles are
-	// queued. Matching the encoder's internal batch width (256) means
-	// one coalesced flush is one full encode batch.
+	// MaxTiles caps how many tiles one flush takes from the backlog (a
+	// larger single submission still goes whole). Matching the encoder's
+	// batch width (256) makes one full flush one full encode batch.
 	MaxTiles int
-	// MaxDelay flushes a partial batch this long after its first tile
-	// arrived, bounding the latency a lone file can wait behind an
-	// unfilled batch.
+	// Deprecated: MaxDelay is ignored since PR 13 — no submission is held
+	// back for company any more, so there is no window to bound.
 	MaxDelay time.Duration
 	// Timeline, when set, receives one "inference.batch" span per flush
 	// (tile count at flush start, zero at flush end).
@@ -37,9 +36,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxTiles <= 0 {
 		c.MaxTiles = 256
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 20 * time.Millisecond
-	}
 	if c.Epoch.IsZero() {
 		c.Epoch = time.Now()
 	}
@@ -49,34 +45,49 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // batchJob is one caller's tile slice waiting for a coalesced encode.
 type batchJob struct {
 	tiles []*tile.Tile
-	res   chan error
+	// wake receives exactly one message (capacity 1, sends never block):
+	// the encode result, or lead — the caller runs the next flush itself.
+	wake chan wakeup
+}
+
+type wakeup struct {
+	lead bool
+	err  error
 }
 
 // BatchLabeler coalesces tiles from concurrent LabelFile/LabelTiles
 // callers into shared encode batches. The paper's stage-4 flow fires one
 // inference action per watched file; files are small (tens of tiles), so
-// per-file encodes waste most of each batch. The batcher instead fills a
-// fixed-size batch across files and flushes on size or deadline — one
-// Encode (and one pass through the model arena) per flush.
-//
-// Submission order is preserved per caller; labels are written into the
-// submitted tiles in place, exactly as Labeler.LabelTiles does.
+// per-file encodes waste most of each batch whenever files queue up.
+// Batching is natural, not timed: a submission that finds the encoder
+// idle is encoded at once, and submissions that arrive during an encode
+// share the next one (up to MaxTiles). Batches grow exactly when there
+// is a backlog, and a lone file waits for nothing. There is no flusher
+// goroutine: the submitter at the head of the backlog leads — it encodes
+// the batch, wakes the followers with the result, and hands leadership
+// to the next waiting submitter. Submission order is preserved per
+// caller; labels are written into the submitted tiles in place, exactly
+// as Labeler.LabelTiles does.
 type BatchLabeler struct {
 	l   *Labeler
 	cfg BatchConfig
 
-	jobs chan batchJob
-	done chan struct{}
-
 	batchTiles   *metrics.Histogram
 	flushSeconds *metrics.Histogram
+	// beforeEncode, when set (tests), runs at the start of every flush.
+	beforeEncode func(tiles int)
 
-	mu     sync.Mutex
+	inflight sync.WaitGroup // accepted submissions that have not returned
+	mu       sync.Mutex
+	// pending is the backlog in arrival order, next leader first. guarded by mu
+	pending []*batchJob
+	// flushing is true while a submitter leads; a backlog implies it. guarded by mu
+	flushing bool
+	// closed rejects new submissions. guarded by mu
 	closed bool
 }
 
-// NewBatchLabeler starts the flusher goroutine. Callers must Close the
-// batcher when done (Close is idempotent).
+// NewBatchLabeler builds a batcher; Close it when done.
 func NewBatchLabeler(l *Labeler, cfg BatchConfig) *BatchLabeler {
 	if cfg.Precision != "" && l != nil && l.Precision != cfg.Precision {
 		// Shallow copy so the override stays local to this batcher: the
@@ -85,12 +96,7 @@ func NewBatchLabeler(l *Labeler, cfg BatchConfig) *BatchLabeler {
 		cp.Precision = cfg.Precision
 		l = &cp
 	}
-	b := &BatchLabeler{
-		l:    l,
-		cfg:  cfg.withDefaults(),
-		jobs: make(chan batchJob, 64),
-		done: make(chan struct{}),
-	}
+	b := &BatchLabeler{l: l, cfg: cfg.withDefaults()}
 	prec := PrecisionFloat32
 	if l != nil && l.Precision != "" {
 		prec = l.Precision
@@ -101,33 +107,90 @@ func NewBatchLabeler(l *Labeler, cfg BatchConfig) *BatchLabeler {
 	b.flushSeconds = b.cfg.Metrics.Histogram("eoml_labeler_flush_seconds",
 		"Wall-clock seconds per coalesced encode flush.", metrics.DurationBuckets(),
 		metrics.L("precision", string(prec)))
-	go b.run()
 	return b
 }
 
-// LabelTiles queues tiles for the next coalesced batch and blocks until
-// they are labeled (in place) or the batch fails.
+// LabelTiles labels tiles (in place) in the next coalesced batch — at
+// once when the encoder is idle — and blocks until that batch is done.
 func (b *BatchLabeler) LabelTiles(tiles []*tile.Tile) error {
 	if len(tiles) == 0 {
 		return nil
 	}
+	j := &batchJob{tiles: tiles, wake: make(chan wakeup, 1)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return fmt.Errorf("aicca: batch labeler is closed")
 	}
-	j := batchJob{tiles: tiles, res: make(chan error, 1)}
-	//eomlvet:ignore locksleep the send must happen under b.mu so Close cannot close b.jobs between the closed check and the send; run drains the channel without taking the lock, so the wait is bounded
-	b.jobs <- j // send under the lock so Close cannot race the channel close
+	b.inflight.Add(1)
+	defer b.inflight.Done()
+	b.pending = append(b.pending, j)
+	lead := !b.flushing
+	b.flushing = true
 	b.mu.Unlock()
-	return <-j.res
+	if !lead {
+		if w := <-j.wake; !w.lead {
+			return w.err
+		}
+	}
+	return b.lead()
+}
+
+// lead runs one flush for the caller at the head of the backlog: its job
+// plus the followers that fit in MaxTiles share one Encode call (one pass
+// through the model arena), then leadership passes to the next arrival.
+func (b *BatchLabeler) lead() error {
+	b.mu.Lock()
+	n, count := 1, len(b.pending[0].tiles)
+	for n < len(b.pending) && count+len(b.pending[n].tiles) <= b.cfg.MaxTiles {
+		count += len(b.pending[n].tiles)
+		n++
+	}
+	batch := b.pending[:n:n]
+	b.pending = b.pending[n:]
+	b.mu.Unlock()
+	all := batch[0].tiles
+	if n > 1 {
+		all = make([]*tile.Tile, 0, count)
+		for _, j := range batch {
+			all = append(all, j.tiles...)
+		}
+	}
+	if b.beforeEncode != nil {
+		b.beforeEncode(count)
+	}
+	if tl := b.cfg.Timeline; tl != nil {
+		tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), count)
+	}
+	started := time.Now()
+	_, err := b.l.LabelTiles(all)
+	b.batchTiles.Observe(float64(count))
+	b.flushSeconds.Observe(time.Since(started).Seconds())
+	if tl := b.cfg.Timeline; tl != nil {
+		tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), 0)
+	}
+	for _, j := range batch[1:] {
+		j.wake <- wakeup{err: err}
+	}
+
+	b.mu.Lock()
+	var next *batchJob
+	if len(b.pending) > 0 {
+		next = b.pending[0]
+	} else {
+		b.flushing = false
+	}
+	b.mu.Unlock()
+	if next != nil {
+		next.wake <- wakeup{lead: true}
+	}
+	return err
 }
 
 // LabelFile reads a tile NetCDF, labels its tiles through the shared
-// batch, and rewrites the file with labels appended. File I/O runs on
-// the caller (so concurrent workers parse and write in parallel); only
-// the encode is funneled through the batcher. Returns the number of
-// tiles labeled. Drop-in replacement for Labeler.LabelFile.
+// batch, and rewrites the file with labels appended, returning the tile
+// count. File I/O runs on the caller (concurrent workers parse and write
+// in parallel); only the encode is shared. Replaces Labeler.LabelFile.
 func (b *BatchLabeler) LabelFile(path string) (int, error) {
 	tiles, err := tile.ReadNetCDF(path)
 	if err != nil {
@@ -149,74 +212,11 @@ func (b *BatchLabeler) LabelFile(path string) (int, error) {
 	return len(tiles), nil
 }
 
-// Close flushes whatever is pending and stops the flusher. Idempotent;
-// LabelTiles calls after Close fail cleanly.
+// Close rejects further submissions (they fail cleanly) and returns once
+// every accepted one has returned. Idempotent.
 func (b *BatchLabeler) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
 	b.closed = true
-	close(b.jobs)
 	b.mu.Unlock()
-	<-b.done
-}
-
-// run is the flusher loop: accumulate jobs until the batch is full or
-// the oldest pending job has waited MaxDelay, then label everything
-// pending in one Encode call.
-//
-//eomlvet:ignore ctxflow lifecycle goroutine terminated by close(b.jobs) in Close; the flagged sends are to per-job result channels with capacity 1 and exactly one receiver, so they never block
-func (b *BatchLabeler) run() {
-	defer close(b.done)
-	var pending []batchJob
-	count := 0
-	var deadline <-chan time.Time
-
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		all := make([]*tile.Tile, 0, count)
-		for _, j := range pending {
-			all = append(all, j.tiles...)
-		}
-		if tl := b.cfg.Timeline; tl != nil {
-			tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), len(all))
-		}
-		started := time.Now()
-		_, err := b.l.LabelTiles(all)
-		b.batchTiles.Observe(float64(len(all)))
-		b.flushSeconds.Observe(time.Since(started).Seconds())
-		if tl := b.cfg.Timeline; tl != nil {
-			tl.Record("inference.batch", time.Since(b.cfg.Epoch).Seconds(), 0)
-		}
-		for _, j := range pending {
-			j.res <- err
-		}
-		pending = pending[:0]
-		count = 0
-		deadline = nil
-	}
-
-	for {
-		select {
-		case j, ok := <-b.jobs:
-			if !ok {
-				flush()
-				return
-			}
-			pending = append(pending, j)
-			count += len(j.tiles)
-			if count >= b.cfg.MaxTiles {
-				flush()
-			} else if deadline == nil {
-				deadline = time.After(b.cfg.MaxDelay)
-			}
-		case <-deadline:
-			flush()
-		}
-	}
+	b.inflight.Wait()
 }

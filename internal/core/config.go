@@ -49,17 +49,21 @@ type Config struct {
 	TilePixels   int // tile edge in granule pixels
 	MinCloudFrac float64
 
-	// Monitor.
+	// Monitor: the crawler's fallback scan period. In-process producers
+	// poke the crawler as each tile file lands, so only files from writers
+	// that cannot poke wait for it.
 	PollInterval time.Duration
 
 	// StallTimeout caps how long the run waits for inference to catch up
 	// with the expected tile-file count before declaring a stall.
 	StallTimeout time.Duration
 
-	// Inference batching: tiles from different watched files are
-	// coalesced into one encode batch, flushed at BatchTiles tiles or
-	// BatchDelay after the first pending tile, whichever comes first.
+	// Inference batching: tiles from watched files that queue up behind a
+	// running encode are coalesced into the next one, up to BatchTiles.
 	BatchTiles int
+	// Deprecated: BatchDelay (batch.delay_ms) is accepted and ignored
+	// since PR 13 — an idle encoder takes a file at once, so there is no
+	// batch window. Any value validates.
 	BatchDelay time.Duration
 
 	// Precision selects the encode arithmetic for inference: "float32"
@@ -152,9 +156,6 @@ func (c *Config) Validate() error {
 	if c.BatchTiles <= 0 {
 		return fmt.Errorf("core: batch tiles must be positive")
 	}
-	if c.BatchDelay <= 0 {
-		return fmt.Errorf("core: batch delay must be positive")
-	}
 	if _, err := aicca.ParsePrecision(c.Precision); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -220,7 +221,7 @@ func (c *Config) GranuleIDs() []modis.GranuleID {
 //	stall_timeout_ms: 300000
 //	batch:
 //	  tiles: 256
-//	  delay_ms: 20
+//	  delay_ms: 20   # deprecated, ignored since PR 13
 //	precision: float32
 //	model:
 //	  weights: model.hdf

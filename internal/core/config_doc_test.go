@@ -47,6 +47,16 @@ func TestConfigKeysMatchParser(t *testing.T) {
 		}
 	}
 
+	// A deprecated key says so wherever an operator meets it: the
+	// DESIGN.md table row, the sample config, the LoadConfig example.
+	const deprecated = "deprecated, ignored since PR 13"
+	for _, line := range strings.Split(string(src)+string(design)+string(sample), "\n") {
+		row := strings.HasPrefix(line, "| `batch.delay_ms`") || strings.Contains(line, "delay_ms:")
+		if row && !strings.Contains(strings.ToLower(line), strings.ToLower(deprecated)) {
+			t.Errorf("batch.delay_ms documented without %q: %s", deprecated, strings.TrimSpace(line))
+		}
+	}
+
 	// Reverse: every map lookup in LoadConfig must be listed. The parser
 	// indexes doc[...] for top-level keys and m[...] for nested ones.
 	for _, match := range regexp.MustCompile(`(?:doc|m)\["([a-z_]+)"\]`).FindAllStringSubmatch(string(src), -1) {

@@ -230,7 +230,6 @@ func TestPipelineBatchedInference(t *testing.T) {
 	cfg := testConfig(t, ts.URL, granules)
 	cfg.InferenceWorkers = 3
 	cfg.BatchTiles = 8
-	cfg.BatchDelay = 5 * time.Millisecond
 
 	p, err := New(cfg, labeler)
 	if err != nil {
@@ -317,7 +316,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PollInterval = 0 },
 		func(c *Config) { c.StallTimeout = 0 },
 		func(c *Config) { c.BatchTiles = 0 },
-		func(c *Config) { c.BatchDelay = 0 },
 	}
 	for i, mutate := range cases {
 		cfg := base
@@ -328,6 +326,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// batch.delay_ms is deprecated and ignored since PR 13: no value of
+	// it can make a config invalid.
+	for _, d := range []time.Duration{0, -time.Second} {
+		cfg := base
+		cfg.BatchDelay = d
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("BatchDelay %v rejected: %v", d, err)
+		}
 	}
 }
 
@@ -406,4 +413,53 @@ func TestLoadConfigErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestLabelPathWaitsOnNoTimer pins the work-conserving label path: with
+// the crawler's fallback tick (and the deprecated batch window) an hour
+// away, a batch run and a stream still finish promptly, because every
+// tile file is poked about as it lands, triggers at first sighting, and
+// meets an idle encoder. Anything left waiting on a tick or a window
+// would hit the deadline instead.
+func TestLabelPathWaitsOnNoTimer(t *testing.T) {
+	granules := findProductiveGranules(t, 3, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	check := func(t *testing.T, rep *Report, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TileFiles == 0 || rep.TilesLabeled != rep.TilesProduced || rep.FilesShipped != rep.TileFiles {
+			t.Fatalf("incomplete: %s", rep.Summary())
+		}
+	}
+	timerless := func(cfg Config) Config {
+		cfg.PollInterval = time.Hour
+		cfg.BatchDelay = time.Hour
+		return cfg
+	}
+	t.Run("batch", func(t *testing.T) {
+		p, err := New(timerless(testConfig(t, ts.URL, granules)), labeler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Run(ctx)
+		check(t, rep, err)
+	})
+	t.Run("stream", func(t *testing.T) {
+		p, err := New(timerless(testConfig(t, ts.URL, nil)), labeler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := make(chan int, len(granules))
+		for _, idx := range granules {
+			arrivals <- idx
+		}
+		close(arrivals)
+		rep, err := p.RunStream(ctx, arrivals)
+		check(t, rep, err)
+	})
 }

@@ -144,12 +144,13 @@ func (p *Run) newReport(granules int) (*Report, *stage.RunContext) {
 
 // inferenceService builds the shared monitor+inference stage: crawler,
 // flow engine, cross-file batcher, and bounded worker pool, armed at
-// setup so labeling overlaps preprocessing (the paper's Fig. 6).
+// setup so labeling overlaps preprocessing (the paper's Fig. 6). Every
+// driver pokes it as each granule's tile file lands, so the monitor scans
+// then rather than at its next PollInterval tick.
 func (p *Run) inferenceService() *stage.InferenceService {
 	cfg := stage.InferenceConfig{
 		Labeler:      p.labeler,
 		BatchTiles:   p.cfg.BatchTiles,
-		BatchDelay:   p.cfg.BatchDelay,
 		Precision:    aicca.Precision(p.cfg.Precision),
 		WatchDir:     p.cfg.TileDir,
 		PollInterval: p.cfg.PollInterval,
@@ -242,9 +243,9 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 		var files, tiles int
 		var err error
 		if p.cfg.Distribution == DistributionFleet {
-			files, tiles, err = p.preprocessFleet(ctx, rc)
+			files, tiles, err = p.preprocessFleet(ctx, rc, svc.Poke)
 		} else {
-			files, tiles, err = p.preprocessBatch(ctx, rc)
+			files, tiles, err = p.preprocessBatch(ctx, rc, svc.Poke)
 		}
 		if err != nil {
 			return err
@@ -265,9 +266,10 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// preprocessBatch runs the Parsl block over every configured granule
-// and returns (tileFiles, tilesProduced).
-func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext) (int, int, error) {
+// preprocessBatch runs the Parsl block over every configured granule,
+// calling landed as each tile file is in place, and returns (tileFiles,
+// tilesProduced).
+func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext, landed func()) (int, int, error) {
 	exec, err := parsl.NewHTEX(parsl.HTEXConfig{
 		Label:          "preprocess",
 		WorkersPerNode: p.cfg.PreprocessWorkers,
@@ -296,7 +298,7 @@ func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext) (int, i
 	for i, g := range granules {
 		g := g
 		apps[i] = func(ctx context.Context) (any, error) {
-			return p.preprocessGranule(g)
+			return p.preprocessGranule(g, landed)
 		}
 	}
 	files, tiles := 0, 0
@@ -323,8 +325,9 @@ type preResult struct {
 // preprocessFleet leases one tile-extraction task per granule to the
 // worker fleet — all submitted up front, so in-flight parallelism is
 // bounded by fleet capacity, not this process's worker pool — and
-// returns (tileFiles, tilesProduced).
-func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext) (int, int, error) {
+// returns (tileFiles, tilesProduced). Workers cannot poke the monitor,
+// so landed is called here as each result is collected.
+func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext, landed func()) (int, int, error) {
 	granules := p.cfg.GranuleIDs()
 	futs := make([]*fleet.Future, len(granules))
 	for i, g := range granules {
@@ -348,6 +351,7 @@ func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext) (int, i
 		tiles += res.Tiles
 		if res.File != "" {
 			files++
+			landed()
 			p.recordPreprocess(granules[i], res.File, res.Tiles, started, time.Now())
 		}
 		rc.Health.Beat("preprocess")
@@ -358,7 +362,7 @@ func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext) (int, i
 
 // preprocessViaFleet is the single-granule form used by the streaming
 // driver's per-arrival apps.
-func (p *Run) preprocessViaFleet(ctx context.Context, g modis.GranuleID) (any, error) {
+func (p *Run) preprocessViaFleet(ctx context.Context, g modis.GranuleID, landed func()) (any, error) {
 	started := time.Now()
 	fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, p.preprocessArgs(g).Args())
 	if err != nil {
@@ -375,6 +379,7 @@ func (p *Run) preprocessViaFleet(ctx context.Context, g modis.GranuleID) (any, e
 	if res.File == "" {
 		return preResult{}, nil
 	}
+	landed()
 	p.recordPreprocess(g, res.File, res.Tiles, started, time.Now())
 	return preResult{tiles: res.Tiles, hasFile: true}, nil
 }
@@ -397,8 +402,9 @@ func (p *Run) preprocessArgs(g modis.GranuleID) fleet.PreprocessArgs {
 	}
 }
 
-// preprocessGranule converts one granule triple into a tile NetCDF.
-func (p *Run) preprocessGranule(g modis.GranuleID) (any, error) {
+// preprocessGranule converts one granule triple into a tile NetCDF and
+// calls landed once the file is in place.
+func (p *Run) preprocessGranule(g modis.GranuleID, landed func()) (any, error) {
 	started := time.Now()
 	read := func(kind modis.Kind) (*hdf.File, error) {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
@@ -432,6 +438,7 @@ func (p *Run) preprocessGranule(g modis.GranuleID) (any, error) {
 	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {
 		return nil, err
 	}
+	landed()
 	p.recordPreprocess(g, path, len(res.Tiles), started, time.Now())
 	return preResult{tiles: len(res.Tiles), hasFile: true}, nil
 }

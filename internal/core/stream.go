@@ -120,9 +120,9 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 		rc.Event("preprocess", stage.EventIn)
 		futs = append(futs, dfk.Submit(fmt.Sprintf("stream-tiles[%d]", idx), func(ctx context.Context) (any, error) {
 			if p.cfg.Distribution == DistributionFleet {
-				return p.preprocessViaFleet(ctx, g)
+				return p.preprocessViaFleet(ctx, g, svc.Poke)
 			}
-			return p.preprocessGranule(g)
+			return p.preprocessGranule(g, svc.Poke)
 		}))
 	}
 

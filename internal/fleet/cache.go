@@ -50,6 +50,10 @@ type DownloadCache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	// coalesced counts fetches that waited on another caller's in-flight
+	// fill: served without an archive request of their own, but not from
+	// a resident entry either — neither a hit nor a miss.
+	coalesced atomic.Int64
 }
 
 // cacheEntry is one cached granule file.
@@ -63,6 +67,9 @@ type fetchCall struct {
 	done chan struct{}
 	err  error
 	path string // the filled destination of the leader's call
+	// waiters counts followers blocked on done; written under the owning
+	// cache's mu, read only by tests that must know the race is set up.
+	waiters int
 }
 
 // CacheKey addresses one archive file.
@@ -155,6 +162,10 @@ func (c *DownloadCache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
+// Coalesced reports how many fetches were served by waiting on another
+// caller's in-flight fill (counted as neither hit nor miss).
+func (c *DownloadCache) Coalesced() int64 { return c.coalesced.Load() }
+
 // SizeBytes reports the summed payload size of resident entries.
 func (c *DownloadCache) SizeBytes() int64 {
 	c.mu.Lock()
@@ -168,11 +179,15 @@ func (c *DownloadCache) SizeBytes() int64 {
 // returned path — and then ingests the result into the cache.
 // Concurrent fetches of one key coalesce onto a single fill.
 //
-// The returned hit is true when the bytes came from the cache (including
-// coalesced waits on another caller's fill).
+// The returned hit is true when this call made no archive fetch of its
+// own: a resident entry, or a wait coalesced onto another caller's fill.
+// Only the former counts as a hit in Stats; a cold fetch that coalesced
+// onto the prefetcher's download is counted in Coalesced instead, so the
+// hit ratio of a cold cache reads 0.
 func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, error)) (string, bool, error) {
 	kh := key.hash()
 	dest := filepath.Join(destDir, key.Name)
+	served := &c.hits // becomes &c.coalesced once this call has waited on a fill
 
 	for {
 		c.mu.Lock()
@@ -180,7 +195,7 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
 			if err := c.materialize(kh, dest); err == nil {
-				c.hits.Add(1)
+				served.Add(1)
 				return dest, true, nil
 			}
 			// Corrupted, truncated, or vanished entry: evict and fall
@@ -192,6 +207,7 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 
 		c.mu.Lock()
 		if call, ok := c.inflight[kh]; ok {
+			call.waiters++
 			c.mu.Unlock()
 			select {
 			case <-call.done:
@@ -201,9 +217,10 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 			if call.err != nil {
 				return "", false, call.err
 			}
+			served = &c.coalesced
 			if call.path == dest {
 				// The leader filled our exact destination.
-				c.hits.Add(1)
+				served.Add(1)
 				return dest, true, nil
 			}
 			// The leader filled another run's directory; serve ourselves

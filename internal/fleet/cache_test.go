@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // cacheFill returns a fill func that writes content at destDir/name and
@@ -198,6 +199,22 @@ func TestDownloadCacheSingleflight(t *testing.T) {
 	for i := 0; i < racers; i++ {
 		<-started
 	}
+	// Hold the leader's fill until every other racer is parked on it, so
+	// none can arrive late and find the entry already resident.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		cache.mu.Lock()
+		waiting := 0
+		if call := cache.inflight[key.hash()]; call != nil {
+			waiting = call.waiters
+		}
+		cache.mu.Unlock()
+		if waiting == racers-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d racers coalesced onto the fill", waiting, racers-1)
+		}
+	}
 	close(gate)
 	wg.Wait()
 	for i, err := range errs {
@@ -207,6 +224,20 @@ func TestDownloadCacheSingleflight(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("fill ran %d times under contention, want 1", calls.Load())
+	}
+	// A cold fetch that coalesced onto the in-flight download is neither
+	// a hit nor a miss: the cache was empty, and only the leader fetched.
+	hits, misses, _ := cache.Stats()
+	if hits != 0 || misses != 1 || cache.Coalesced() != racers-1 {
+		t.Fatalf("cold coalesced fetch: hits=%d misses=%d coalesced=%d, want 0/1/%d",
+			hits, misses, cache.Coalesced(), racers-1)
+	}
+	// The entry is resident now: the next fetch is a real hit.
+	if _, hit, err := cache.Fetch(context.Background(), key, t.TempDir(), nil); err != nil || !hit {
+		t.Fatalf("warm fetch: hit=%v err=%v", hit, err)
+	}
+	if hits, _, _ := cache.Stats(); hits != 1 {
+		t.Fatalf("warm fetch counted %d hits, want 1", hits)
 	}
 }
 

@@ -183,7 +183,8 @@ func NewKernelsWith(cfg KernelConfig) (*Kernels, error) {
 
 // Instrument registers the worker-side cache and prefetch series on
 // reg: eoml_fleet_cache_{hits,misses,evictions}_total broken out by
-// cache={download,result}, and the eoml_fleet_prefetch_inflight gauge.
+// cache={download,result}, eoml_fleet_cache_coalesced_total for the
+// download cache, and the eoml_fleet_prefetch_inflight gauge.
 func (k *Kernels) Instrument(reg *metrics.Registry) {
 	dl := metrics.L("cache", "download")
 	rs := metrics.L("cache", "result")
@@ -212,6 +213,14 @@ func (k *Kernels) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("eoml_fleet_cache_misses_total", missesHelp, pick(missesOf, false), rs)
 	reg.CounterFunc("eoml_fleet_cache_evictions_total", evictionsHelp, pick(evictionsOf, true), dl)
 	reg.CounterFunc("eoml_fleet_cache_evictions_total", evictionsHelp, pick(evictionsOf, false), rs)
+	reg.CounterFunc("eoml_fleet_cache_coalesced_total",
+		"Download-cache fetches served by waiting on another caller's in-flight archive fetch (neither hit nor miss).",
+		func() float64 {
+			if k.downloads == nil {
+				return 0
+			}
+			return float64(k.downloads.Coalesced())
+		}, dl)
 	reg.GaugeFunc("eoml_fleet_prefetch_inflight",
 		"Granule input fetches currently running ahead of their compute slot.",
 		func() float64 { return float64(k.prefetchInflight.Load()) })

@@ -44,8 +44,10 @@ const flowDefinition = `{
 type InferenceConfig struct {
 	// Labeler performs the actual tile classification.
 	Labeler *aicca.Labeler
-	// BatchTiles / BatchDelay tune the cross-file encode batcher.
+	// BatchTiles caps the cross-file encode batch.
 	BatchTiles int
+	// Deprecated: BatchDelay is ignored since PR 13; the batcher has no
+	// window to tune (see aicca.BatchConfig.MaxDelay).
 	BatchDelay time.Duration
 	// Precision, when non-empty, overrides the labeler's encode
 	// arithmetic for batches flushed through this service.
@@ -54,7 +56,8 @@ type InferenceConfig struct {
 	WatchDir string
 	// Pattern filters watched file names; default "*.nc".
 	Pattern string
-	// PollInterval is the crawler scan period.
+	// PollInterval is the crawler's fallback scan period; producers that
+	// call Poke do not wait for it.
 	PollInterval time.Duration
 	// Workers bounds the inference worker pool; default 1.
 	Workers int
@@ -91,8 +94,25 @@ func (c InferenceConfig) withDefaults() InferenceConfig {
 // cross-file encode batcher. Both the batch and the streaming driver
 // compose this same service.
 //
+// The path from a finished tile file to its labels is work-conserving:
+// the crawler is the one discovery and exactly-once path, but not the
+// clock — upstream calls Poke as each file lands and the crawler scans
+// then; WatchDir is declared rename-published (every tile writer goes
+// through netcdf.WriteFile's temp+rename), so the file triggers on that
+// first scan; and the batcher encodes at once when idle. Only a file
+// from a writer that cannot poke waits for the PollInterval tick.
+//
 // Lifecycle: Setup builds the batcher, flow engine, and crawler and
 // arms the background goroutines (so labeling overlaps preprocessing);
+// Poke tells the monitor a tile file just landed in WatchDir, so it
+// scans now instead of at the next tick. Non-blocking; safe from any
+// goroutine once Setup has run, a no-op before.
+func (s *InferenceService) Poke() {
+	if s.crawler != nil {
+		s.crawler.Poke()
+	}
+}
+
 // ExpectFiles tells the service how many tile files upstream produced;
 // Run blocks until that many flows completed (successfully or not) and
 // returns the join of all flow errors; Drain retires the crawler, pool,
@@ -168,7 +188,6 @@ func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 
 	s.batcher = aicca.NewBatchLabeler(s.cfg.Labeler, aicca.BatchConfig{
 		MaxTiles:  s.cfg.BatchTiles,
-		MaxDelay:  s.cfg.BatchDelay,
 		Timeline:  rc.Timeline,
 		Epoch:     rc.Epoch,
 		Metrics:   rc.Metrics,
@@ -187,9 +206,10 @@ func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 	}
 	s.def = def
 	s.crawler, err = watch.NewCrawler(watch.Config{
-		Dir:      s.cfg.WatchDir,
-		Pattern:  s.cfg.Pattern,
-		Interval: s.cfg.PollInterval,
+		Dir:             s.cfg.WatchDir,
+		Pattern:         s.cfg.Pattern,
+		Interval:        s.cfg.PollInterval,
+		RenamePublished: true,
 	})
 	if err != nil {
 		return err
