@@ -4,7 +4,7 @@
 #                     + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
 #                     bench-diff + the granule benchmark's own tests and
-#                     a one-second correctness run of it
+#                     one-second correctness runs of it (local and fleet)
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
 #   make bench-diff — gate the committed bench records: fails on >10%
@@ -122,10 +122,13 @@ bench-granule-test:
 	cd benchmarks && $(GO) test ./...
 
 # Correctness gate only: one second of campaign_local still runs ten
-# campaigns and checks every shipped label against the reference; the
-# numbers it prints are too short to mean anything.
+# campaigns and checks every shipped label against the reference, and
+# one second of campaign_fleet_warm does the same through the fleet's
+# one-task-per-granule path and fails on any archive request from warm
+# caches; the numbers they print are too short to mean anything.
 bench-granule-smoke:
 	bash benchmarks/run.sh --workload campaign_local --seconds 1
+	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1
 
 # Every figure/table/ablation benchmark in the repo.
 bench-all:

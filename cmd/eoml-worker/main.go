@@ -1,8 +1,8 @@
 // Command eoml-worker is one fleet worker process: it serves the
-// tile-extraction and AICCA-labeling kernels on a local compute
-// endpoint, registers that endpoint with a control plane started as
-// `eoml serve -fleet`, heartbeats to stay live, and drains gracefully
-// on SIGINT. Tasks arrive as granule *references* — shared-storage
+// granule kernel (fetch, extract tiles, label, publish the labeled
+// file) on a local compute endpoint, registers that endpoint with a
+// control plane started as `eoml serve -fleet`, heartbeats to stay
+// live, and drains gracefully on SIGINT. Tasks arrive as granule *references* — shared-storage
 // paths plus archive coordinates — never bytes, so a worker can run at
 // another facility and fetch its own inputs.
 //
@@ -18,8 +18,8 @@
 // instead of the archive.
 //
 // Submit a run whose YAML declares `distribution: fleet` and the
-// coordinator leases its preprocess and inference work to every
-// registered worker.
+// coordinator leases its granules, one task each, to every registered
+// worker.
 package main
 
 import (

@@ -114,7 +114,7 @@ func NewControlPlane(eng *Engine, opts ControlPlaneOptions) *ControlPlane {
 // TenantHeader names the HTTP header carrying the submitting tenant.
 const TenantHeader = serve.TenantHeader
 
-// FleetCoordinator leases preprocess/inference tasks to registered
+// FleetCoordinator leases granule tasks (one per granule) to registered
 // eoml-worker processes: heartbeat liveness, in-flight bounds, lease
 // requeue, work stealing, and elastic scale hints.
 type FleetCoordinator = fleet.Coordinator

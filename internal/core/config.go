@@ -43,7 +43,12 @@ type Config struct {
 	// Stage parallelism (the paper's Fig. 6 run uses 3 / 32 / 1).
 	DownloadWorkers   int
 	PreprocessWorkers int
-	InferenceWorkers  int
+	// InferenceWorkers bounds concurrent label-and-move flows over tile
+	// files the monitor finds in TileDir. Under fleet distribution the
+	// run's own granules are labeled on the workers and never pass
+	// through these flows; the pool then serves only tile files other
+	// writers drop into TileDir.
+	InferenceWorkers int
 
 	// Tile extraction.
 	TilePixels   int // tile edge in granule pixels
@@ -81,10 +86,12 @@ type Config struct {
 	MetricsAddr string
 
 	// Distribution selects where preprocess and inference execute:
-	// "local" (default — in-process Parsl pool and batcher, unchanged)
-	// or "fleet" (tasks leased to registered eoml-worker processes via
-	// the engine's fleet coordinator). Fleet mode requires model and
-	// codebook paths, since workers load weights from shared storage.
+	// "local" (default — in-process Parsl pool and batcher) or "fleet"
+	// (one task per granule leased to a registered eoml-worker process
+	// via the engine's fleet coordinator; the worker writes the labeled
+	// file straight into OutboxDir, and nothing of the run's own lands in
+	// TileDir). Fleet mode requires model and codebook paths, since
+	// workers load weights from shared storage.
 	Distribution string
 }
 

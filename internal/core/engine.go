@@ -38,8 +38,10 @@ type EngineOptions struct {
 	// Quotas, when set, gates each run's archive requests on its
 	// tenant's token bucket. Nil admits everything.
 	Quotas *laads.QuotaPool
-	// Fleet, when set, lets runs with `distribution: fleet` lease their
-	// preprocess and inference tasks to registered worker processes.
+	// Fleet, when set, lets runs with `distribution: fleet` lease each
+	// granule to a registered worker process as one task: the worker
+	// fetches, tiles, labels and publishes the labeled file; the run
+	// monitors, counts and ships.
 	Fleet *fleet.Coordinator
 }
 

@@ -58,7 +58,7 @@ type Run struct {
 	// preprocessing workers (one shard per worker in flight); shared
 	// engine-wide, so concurrent runs recycle one pool.
 	extract *tensor.ShardedArena
-	// fleet leases preprocess/inference tasks to worker processes when
+	// fleet leases granule tasks to worker processes when
 	// cfg.Distribution is "fleet"; nil otherwise.
 	fleet   *fleet.Coordinator
 	quota   *laads.Quota
@@ -144,11 +144,14 @@ func (p *Run) newReport(granules int) (*Report, *stage.RunContext) {
 
 // inferenceService builds the shared monitor+inference stage: crawler,
 // flow engine, cross-file batcher, and bounded worker pool, armed at
-// setup so labeling overlaps preprocessing (the paper's Fig. 6). Every
-// driver pokes it as each granule's tile file lands, so the monitor scans
-// then rather than at its next PollInterval tick.
+// setup so labeling overlaps preprocessing (the paper's Fig. 6). The
+// local drivers poke it as each granule's tile file lands, so the monitor
+// scans then rather than at its next PollInterval tick. Under fleet
+// distribution workers publish labeled files themselves and report them
+// through Published; the monitor stays armed over TileDir for tile files
+// written by anyone else.
 func (p *Run) inferenceService() *stage.InferenceService {
-	cfg := stage.InferenceConfig{
+	return stage.NewInferenceService(stage.InferenceConfig{
 		Labeler:      p.labeler,
 		BatchTiles:   p.cfg.BatchTiles,
 		Precision:    aicca.Precision(p.cfg.Precision),
@@ -158,34 +161,7 @@ func (p *Run) inferenceService() *stage.InferenceService {
 		OutboxDir:    p.cfg.OutboxDir,
 		StallTimeout: p.cfg.StallTimeout,
 		OnMoved:      p.recordInference,
-	}
-	if p.cfg.Distribution == DistributionFleet {
-		// Labeling runs on the fleet: the flow ships the tile file's
-		// *path* plus model refs, a worker labels it in place on shared
-		// storage, and the move step stays run-side.
-		cfg.LabelFile = p.fleetLabelFile
-	}
-	return stage.NewInferenceService(cfg)
-}
-
-// fleetLabelFile is the fleet-distributed inference kernel call: one
-// leased task per tile file, labels written in place by the worker.
-func (p *Run) fleetLabelFile(ctx context.Context, path string) (int, error) {
-	fut, err := p.fleet.Submit(ctx, fleet.LabelFunction, fleet.LabelArgs{
-		File:      path,
-		Model:     p.cfg.ModelPath,
-		Codebook:  p.cfg.CodebookPath,
-		Precision: p.cfg.Precision,
-	}.Args())
-	if err != nil {
-		return 0, err
-	}
-	v, err := fut.Get(ctx)
-	if err != nil {
-		return 0, err
-	}
-	res, err := fleet.ParseLabelResult(v)
-	return res.Labeled, err
+	})
 }
 
 // shipment builds the stage-5 transfer, skipped when upstream produced
@@ -243,7 +219,7 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 		var files, tiles int
 		var err error
 		if p.cfg.Distribution == DistributionFleet {
-			files, tiles, err = p.preprocessFleet(ctx, rc, svc.Poke)
+			files, tiles, err = p.preprocessFleet(ctx, rc, svc)
 		} else {
 			files, tiles, err = p.preprocessBatch(ctx, rc, svc.Poke)
 		}
@@ -320,86 +296,7 @@ func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext, landed 
 type preResult struct {
 	tiles   int
 	hasFile bool
-}
-
-// preprocessFleet leases one tile-extraction task per granule to the
-// worker fleet — all submitted up front, so in-flight parallelism is
-// bounded by fleet capacity, not this process's worker pool — and
-// returns (tileFiles, tilesProduced). Workers cannot poke the monitor,
-// so landed is called here as each result is collected.
-func (p *Run) preprocessFleet(ctx context.Context, rc *stage.RunContext, landed func()) (int, int, error) {
-	granules := p.cfg.GranuleIDs()
-	futs := make([]*fleet.Future, len(granules))
-	for i, g := range granules {
-		fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, p.preprocessArgs(g).Args())
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", g.Index, err)
-		}
-		futs[i] = fut
-	}
-	files, tiles := 0, 0
-	for i, fut := range futs {
-		started := time.Now()
-		v, err := fut.Get(ctx)
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", granules[i].Index, err)
-		}
-		res, err := fleet.ParsePreprocessResult(v)
-		if err != nil {
-			return 0, 0, err
-		}
-		tiles += res.Tiles
-		if res.File != "" {
-			files++
-			landed()
-			p.recordPreprocess(granules[i], res.File, res.Tiles, started, time.Now())
-		}
-		rc.Health.Beat("preprocess")
-		rc.Timeline.Record("preprocess", rc.Since(), len(futs)-(i+1))
-	}
-	return files, tiles, nil
-}
-
-// preprocessViaFleet is the single-granule form used by the streaming
-// driver's per-arrival apps.
-func (p *Run) preprocessViaFleet(ctx context.Context, g modis.GranuleID, landed func()) (any, error) {
-	started := time.Now()
-	fut, err := p.fleet.Submit(ctx, fleet.PreprocessFunction, p.preprocessArgs(g).Args())
-	if err != nil {
-		return nil, err
-	}
-	v, err := fut.Get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fleet.ParsePreprocessResult(v)
-	if err != nil {
-		return nil, err
-	}
-	if res.File == "" {
-		return preResult{}, nil
-	}
-	landed()
-	p.recordPreprocess(g, res.File, res.Tiles, started, time.Now())
-	return preResult{tiles: res.Tiles, hasFile: true}, nil
-}
-
-// preprocessArgs builds the granule-ref task arguments: paths on
-// shared storage plus archive coordinates so a worker without the
-// run's filesystem can fetch inputs itself.
-func (p *Run) preprocessArgs(g modis.GranuleID) fleet.PreprocessArgs {
-	return fleet.PreprocessArgs{
-		Satellite:    g.Satellite.String(),
-		Year:         g.Year,
-		DOY:          g.DOY,
-		Index:        g.Index,
-		DataDir:      p.cfg.DataDir,
-		TileDir:      p.cfg.TileDir,
-		TilePixels:   p.cfg.TilePixels,
-		MinCloudFrac: p.cfg.MinCloudFrac,
-		ArchiveURL:   p.cfg.ArchiveURL,
-		ArchiveToken: p.cfg.ArchiveToken,
-	}
+	done    time.Time // fleet only: when the worker finished the granule
 }
 
 // preprocessGranule converts one granule triple into a tile NetCDF and
@@ -433,8 +330,7 @@ func (p *Run) preprocessGranule(g modis.GranuleID, landed func()) (any, error) {
 	if len(res.Tiles) == 0 {
 		return preResult{}, nil // night granule or no ocean clouds
 	}
-	name := fmt.Sprintf("tiles.%s.A%04d%03d.%s.nc", g.Satellite.Prefix(), g.Year, g.DOY, g.HHMM())
-	path := filepath.Join(p.cfg.TileDir, name)
+	path := filepath.Join(p.cfg.TileDir, tile.FileName(g))
 	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {
 		return nil, err
 	}

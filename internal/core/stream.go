@@ -119,10 +119,15 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 
 		rc.Event("preprocess", stage.EventIn)
 		futs = append(futs, dfk.Submit(fmt.Sprintf("stream-tiles[%d]", idx), func(ctx context.Context) (any, error) {
-			if p.cfg.Distribution == DistributionFleet {
-				return p.preprocessViaFleet(ctx, g, svc.Poke)
+			if p.cfg.Distribution != DistributionFleet {
+				return p.preprocessGranule(g, svc.Poke)
 			}
-			return p.preprocessGranule(g, svc.Poke)
+			// One granule task; the pool only bounds how many are out.
+			fut, err := p.fleetSubmit(ctx, g)
+			if err != nil {
+				return nil, err
+			}
+			return p.fleetCollect(ctx, rc, svc, g, fut)
 		}))
 	}
 

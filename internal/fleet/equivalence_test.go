@@ -170,8 +170,9 @@ func startWorkers(t *testing.T, coordinatorURL string, n, slots int) {
 }
 
 // TestFleetMatchesLocalLabels is the acceptance property: the same
-// granules, model, and codebook must produce identical AICCA labels
-// whether the run executes in-process or fleet-distributed.
+// granules, model, and codebook must produce identical AICCA labels —
+// and byte-identical products — whether the run executes in-process or
+// fleet-distributed.
 func TestFleetMatchesLocalLabels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end equivalence run")
@@ -246,6 +247,16 @@ func TestFleetMatchesLocalLabels(t *testing.T) {
 	}
 	if len(fleetLabels) != len(localLabels) {
 		t.Fatalf("shipped files: local %d, fleet %d", len(localLabels), len(fleetLabels))
+	}
+
+	// Same products byte for byte — the worker's single labeled write
+	// equals the local path's write, label, rewrite and move — and no
+	// tile file left behind on either side (the fleet never wrote one).
+	sameFiles(t, "fleet vs local outbox", dirFiles(t, fleetCfg.OutboxDir), dirFiles(t, localCfg.OutboxDir))
+	for name, cfg := range map[string]core.Config{"local": localCfg, "fleet": fleetCfg} {
+		if left := dirFiles(t, cfg.TileDir); len(left) != 0 {
+			t.Fatalf("%s run left %d file(s) in TileDir", name, len(left))
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package fleet is the real multi-process distribution layer: a
-// coordinator that leases preprocessing and inference tasks to a pool
-// of worker processes (cmd/eoml-worker) over the compute fabric's HTTP
-// transport. Workers register their endpoint URL with the coordinator,
+// coordinator that leases granule tasks (fetch, tile, label, publish:
+// one lease per granule) to a pool of worker processes
+// (cmd/eoml-worker) over the compute fabric's HTTP transport. Workers register their endpoint URL with the coordinator,
 // send heartbeats, and execute tasks that ship granule *references* —
 // paths on shared storage plus archive credentials for workers without
 // one — never granule bytes. The coordinator provides what the paper's
 // multi-facility setting demands of a scheduler: per-worker in-flight
 // bounds, lease + requeue when a worker's heartbeats stop, speculative
-// work stealing from stragglers (safe because every kernel writes its
+// work stealing from stragglers (safe because the kernel writes its
 // output atomically and deterministically, so a duplicated task is
 // idempotent), and elastic scale-out/in hints mirroring internal/parsl
 // block allocation.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -138,7 +139,8 @@ func (e *ErrUnknownWorker) Error() string {
 // coordinator evicted this worker and it must re-register.
 func (cl *Client) Heartbeat(ctx context.Context, id string) error {
 	err := cl.post(ctx, "/fleet/heartbeat", heartbeatRequest{ID: id}, nil)
-	if err != nil && strings.Contains(err.Error(), "404") {
+	var status *statusError
+	if errors.As(err, &status) && status.code == http.StatusNotFound {
 		return &ErrUnknownWorker{ID: id}
 	}
 	return err
@@ -171,6 +173,16 @@ func (cl *Client) Workers(ctx context.Context) ([]WorkerStatus, error) {
 	return wr.Workers, nil
 }
 
+// statusError is a non-200 answer from the coordinator. It carries the
+// status code so callers match on the response, never on error text (a
+// refused connection to port 14046 also says "404").
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
 func (cl *Client) post(ctx context.Context, path string, body, out any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -188,7 +200,10 @@ func (cl *Client) post(ctx context.Context, path string, body, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("fleet: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg)))
+		return &statusError{
+			code: resp.StatusCode,
+			msg:  fmt.Sprintf("fleet: %s: %s: %s", path, resp.Status, strings.TrimSpace(string(msg))),
+		}
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)

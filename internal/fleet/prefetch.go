@@ -9,8 +9,8 @@ import (
 // endpoint's OnEnqueue hook, it sees every leased task while it waits
 // for a compute slot and fetches its archive inputs ahead of execution.
 // With lease-ahead capacity (WorkerConfig.PrefetchWindow) the endpoint
-// queue holds the next k granules, so while granule N runs
-// preprocess+inference, granules N+1..N+k stream in concurrently —
+// queue holds the next k granules, so while granule N extracts and
+// labels, granules N+1..N+k stream in concurrently —
 // through the same per-tenant quota and download cache the kernels use,
 // so the overlap never exceeds the facility's request-rate agreement
 // and never double-fetches (the cache's singleflight coalesces a
@@ -38,11 +38,11 @@ func NewPrefetcher(k *Kernels, window int) *Prefetcher {
 
 // OnEnqueue observes one accepted task (compute.EndpointConfig's hook
 // contract: called outside the endpoint lock, must not block). Only
-// preprocess tasks carry archive inputs worth fetching ahead; when the
+// granule tasks carry archive inputs worth fetching ahead; when the
 // window is already full the task is skipped — its compute slot fetches
 // as usual, cache-assisted.
 func (p *Prefetcher) OnEnqueue(function string, args map[string]any) {
-	if p.sem == nil || function != PreprocessFunction {
+	if p.sem == nil || function != GranuleFunction {
 		return
 	}
 	select {

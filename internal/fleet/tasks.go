@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
 	"github.com/eoml/eoml/internal/compute"
@@ -22,86 +24,80 @@ import (
 	"github.com/eoml/eoml/internal/tile"
 )
 
-// Names of the task functions every worker serves. Task arguments ship
-// granule *references* — archive coordinates and shared-storage paths —
-// never pixel bytes.
-const (
-	PreprocessFunction = "eoml.preprocess_granule"
-	LabelFunction      = "eoml.label_file"
-)
+// GranuleFunction names the one task function every worker serves: a
+// whole granule, fetched, tiled, labeled and published under one lease.
+// Task arguments ship granule *references* — archive coordinates and
+// shared-storage paths — never pixel bytes.
+const GranuleFunction = "eoml.granule"
 
-// PreprocessArgs is the wire form of one tile-extraction task: which
-// granule, where its HDF triple lives (DataDir), where the tile NetCDF
-// goes (TileDir), and optionally which archive to fetch missing inputs
-// from — the multi-facility case where the worker does not share the
-// submitter's filesystem.
-type PreprocessArgs struct {
+// GranuleArgs is the wire form of one granule task: which granule,
+// where its HDF triple lives (DataDir), where the labeled tile NetCDF is
+// published (OutboxDir, which the submitting run creates and owns), the
+// model/codebook refs the worker loads (and caches) from shared storage,
+// and optionally which archive to fetch missing inputs from — the
+// multi-facility case where the worker does not share the submitter's
+// data directory.
+type GranuleArgs struct {
 	Satellite    string  `json:"satellite"`
 	Year         int     `json:"year"`
 	DOY          int     `json:"doy"`
 	Index        int     `json:"index"`
 	DataDir      string  `json:"data_dir"`
-	TileDir      string  `json:"tile_dir"`
+	OutboxDir    string  `json:"outbox_dir"`
 	TilePixels   int     `json:"tile_pixels"`
 	MinCloudFrac float64 `json:"min_cloud_frac"`
+	Model        string  `json:"model"`
+	Codebook     string  `json:"codebook"`
+	Precision    string  `json:"precision,omitempty"`
 	ArchiveURL   string  `json:"archive_url,omitempty"`
 	ArchiveToken string  `json:"archive_token,omitempty"`
 }
 
-// Args flattens to the compute fabric's map form.
-func (a PreprocessArgs) Args() map[string]any {
-	return map[string]any{
-		"satellite": a.Satellite, "year": a.Year, "doy": a.DOY, "index": a.Index,
-		"data_dir": a.DataDir, "tile_dir": a.TileDir,
-		"tile_pixels": a.TilePixels, "min_cloud_frac": a.MinCloudFrac,
-		"archive_url": a.ArchiveURL, "archive_token": a.ArchiveToken,
+// Args flattens to the compute fabric's map form. It fails only on a
+// value JSON cannot carry (a NaN cloud fraction).
+func (a GranuleArgs) Args() (map[string]any, error) {
+	var m map[string]any
+	if err := rewire(a, &m); err != nil {
+		return nil, fmt.Errorf("fleet: granule args: %w", err)
 	}
+	return m, nil
 }
 
-// PreprocessResult reports one granule's extraction outcome.
-type PreprocessResult struct {
-	Tiles int    `json:"tiles"`
-	File  string `json:"file"`
+// GranuleResult reports one granule's outcome: how many tiles it
+// yielded, the labeled file published for them (empty for a night or
+// cloud-free granule), and where the worker's wall time went. Started is
+// the worker's clock when the task began; the four phases follow it back
+// to back, so Started plus their sum is when the file was published.
+type GranuleResult struct {
+	Tiles   int    `json:"tiles"`
+	File    string `json:"file"`
+	Labeled int    `json:"labeled"`
+
+	Started time.Time     `json:"started"`
+	Fetch   time.Duration `json:"fetch_ns"`   // archive or cache fetch of the HDF triple
+	Extract time.Duration `json:"extract_ns"` // HDF decode + tile extraction
+	Label   time.Duration `json:"label_ns"`   // encode + codebook assignment
+	Write   time.Duration `json:"write_ns"`   // NetCDF encode + temp write + rename
 }
 
-// ParsePreprocessResult decodes a task result from its wire form.
-func ParsePreprocessResult(v any) (PreprocessResult, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return PreprocessResult{}, fmt.Errorf("fleet: preprocess result is %T, want map", v)
+// ParseGranuleResult decodes a task result from its wire form.
+func ParseGranuleResult(v any) (GranuleResult, error) {
+	var r GranuleResult
+	if err := rewire(v, &r); err != nil {
+		return GranuleResult{}, fmt.Errorf("fleet: granule result: %w", err)
 	}
-	return PreprocessResult{Tiles: intFrom(m, "tiles"), File: stringFrom(m, "file")}, nil
+	return r, nil
 }
 
-// LabelArgs is the wire form of one inference task: the tile file to
-// label in place plus the model/codebook refs the worker loads (and
-// caches) from shared storage.
-type LabelArgs struct {
-	File      string `json:"file"`
-	Model     string `json:"model"`
-	Codebook  string `json:"codebook"`
-	Precision string `json:"precision,omitempty"`
-}
-
-// Args flattens to the compute fabric's map form.
-func (a LabelArgs) Args() map[string]any {
-	return map[string]any{
-		"file": a.File, "model": a.Model, "codebook": a.Codebook, "precision": a.Precision,
+// rewire converts between a wire struct and the compute fabric's
+// generic form through JSON — the codec the HTTP hop applies anyway, so
+// a value reads the same whether or not it crossed a process boundary.
+func rewire(from, to any) error {
+	raw, err := json.Marshal(from)
+	if err != nil {
+		return err
 	}
-}
-
-// LabelResult reports one file's labeling outcome.
-type LabelResult struct {
-	Labeled int `json:"labeled"`
-}
-
-// ParseLabelResult decodes a task result from its wire form.
-func ParseLabelResult(v any) (LabelResult, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return LabelResult{}, fmt.Errorf("fleet: label result is %T, want map", v)
-	}
-	return LabelResult{Labeled: intFrom(m, "labeled")}, nil
+	return json.Unmarshal(raw, to)
 }
 
 // KernelConfig tunes the worker kernel set's caches and archive access.
@@ -122,7 +118,7 @@ type KernelConfig struct {
 	Quota *laads.QuotaPool
 }
 
-// Kernels hosts the worker-side task implementations against shared
+// Kernels hosts the worker-side granule kernel against shared
 // per-process state: one decode arena for tile extraction, a
 // model/codebook cache for inference (loaded once per pair, like
 // core.Engine's weights cache), a content-addressed download cache, and
@@ -226,12 +222,9 @@ func (k *Kernels) Instrument(reg *metrics.Registry) {
 		func() float64 { return float64(k.prefetchInflight.Load()) })
 }
 
-// Register adds both task functions to a compute registry.
+// Register adds the granule task function to a compute registry.
 func (k *Kernels) Register(reg *compute.Registry) error {
-	if err := reg.Register(PreprocessFunction, k.preprocess); err != nil {
-		return err
-	}
-	return reg.Register(LabelFunction, k.label)
+	return reg.Register(GranuleFunction, k.granule)
 }
 
 // clientFor finds or creates the archive client for one url+token pair,
@@ -335,147 +328,108 @@ func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(contex
 	}
 }
 
-// parsePreprocessRef validates the granule reference shared by the
-// preprocess kernel and the prefetcher.
-func parsePreprocessRef(args map[string]any) (modis.GranuleID, string, string, error) {
-	sat, err := parseSatellite(stringFrom(args, "satellite"))
+// parseGranuleRef decodes and validates the granule reference shared by
+// the granule kernel and the prefetcher.
+func parseGranuleRef(args map[string]any) (GranuleArgs, modis.GranuleID, error) {
+	var a GranuleArgs
+	if err := rewire(args, &a); err != nil {
+		return a, modis.GranuleID{}, fmt.Errorf("fleet: granule task: %w", err)
+	}
+	sat, err := parseSatellite(a.Satellite)
 	if err != nil {
-		return modis.GranuleID{}, "", "", err
+		return a, modis.GranuleID{}, err
 	}
-	g := modis.GranuleID{
-		Satellite: sat,
-		Year:      intFrom(args, "year"),
-		DOY:       intFrom(args, "doy"),
-		Index:     intFrom(args, "index"),
-	}
+	g := modis.GranuleID{Satellite: sat, Year: a.Year, DOY: a.DOY, Index: a.Index}
 	if err := g.Validate(); err != nil {
-		return modis.GranuleID{}, "", "", err
+		return a, g, err
 	}
-	dataDir := stringFrom(args, "data_dir")
-	tileDir := stringFrom(args, "tile_dir")
-	if dataDir == "" || tileDir == "" {
-		return modis.GranuleID{}, "", "", fmt.Errorf("fleet: preprocess needs data_dir and tile_dir")
+	if a.DataDir == "" {
+		return a, g, fmt.Errorf("fleet: granule task needs data_dir")
 	}
-	return g, dataDir, tileDir, nil
+	return a, g, nil
 }
 
-// prefetchInputs fetches one enqueued preprocess task's inputs ahead of
+// prefetchInputs fetches one enqueued granule task's inputs ahead of
 // its compute slot. Errors are dropped: the kernel repeats the fetch
 // (cache-assisted) and reports failures through the normal task path.
 func (k *Kernels) prefetchInputs(ctx context.Context, args map[string]any) {
-	g, dataDir, _, err := parsePreprocessRef(args)
+	a, g, err := parseGranuleRef(args)
 	if err != nil {
 		return
 	}
 	k.prefetchInflight.Add(1)
 	defer k.prefetchInflight.Add(-1)
-	_ = k.fetchGranuleInputs(ctx, g, dataDir, stringFrom(args, "archive_url"), stringFrom(args, "archive_token"))
+	_ = k.fetchGranuleInputs(ctx, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
 }
 
-// preprocess is the tile-extraction kernel. Inputs absent from DataDir
-// are fetched from the archive when credentials are supplied, so a
-// worker at another facility only needs the granule reference. The
-// output NetCDF is written via an atomic temp+rename with fully
-// deterministic content, which is what makes duplicated leases (steal,
-// requeue-after-partial) safe — and completed results are memoized on
-// the granule ref, so a duplicate lease that already ran here returns
-// without recomputing at all.
-func (k *Kernels) preprocess(ctx context.Context, args map[string]any) (any, error) {
-	g, dataDir, tileDir, err := parsePreprocessRef(args)
+// granule is the fused kernel: fetch the granule's triple (inputs
+// absent from DataDir come from the archive when credentials are
+// supplied, so a worker at another facility only needs the reference),
+// decode, extract tiles, label them in memory with the cached labeler,
+// and write the labeled NetCDF once, straight into OutboxDir. The run
+// that submitted the task owns OutboxDir; the kernel never creates it,
+// so a duplicate outliving the run fails instead of resurrecting it.
+//
+// Duplicated leases (steal, requeue-after-partial) stay safe because
+// the file's content is a pure function of the task arguments and
+// netcdf.WriteFile publishes by unique-temp + rename: every writer
+// renames a complete, byte-identical file over the same name. Completed
+// results are memoized on every argument that shapes the output, so a
+// duplicate lease that already ran here returns without recomputing.
+func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error) {
+	out := GranuleResult{Started: time.Now()}
+	a, g, err := parseGranuleRef(args)
 	if err != nil {
 		return nil, err
 	}
-	memoKey := fmt.Sprintf("preprocess|%s|%04d%03d.%d|%s|%d|%g",
-		stringFrom(args, "satellite"), g.Year, g.DOY, g.Index,
-		tileDir, intFrom(args, "tile_pixels"), floatFrom(args, "min_cloud_frac"))
+	if a.OutboxDir == "" || a.Model == "" || a.Codebook == "" {
+		return nil, fmt.Errorf("fleet: granule task needs outbox_dir, model and codebook")
+	}
+	prec, err := aicca.ParsePrecision(a.Precision)
+	if err != nil {
+		return nil, err
+	}
+	memoKey := fmt.Sprintf("granule|%s|%04d%03d.%d|%s|%d|%g|%s|%s|%v", a.Satellite, g.Year, g.DOY, g.Index,
+		a.OutboxDir, a.TilePixels, a.MinCloudFrac, a.Model, a.Codebook, prec)
 	if v, ok := k.results.Get(memoKey); ok {
-		r := v.(PreprocessResult)
-		if r.File == "" {
-			return r.asMap(), nil // memoized empty granule
-		}
-		if _, err := os.Stat(r.File); err == nil {
-			return r.asMap(), nil
+		r := v.(GranuleResult)
+		if _, err := os.Stat(r.File); r.File == "" || err == nil {
+			return r, nil // an empty granule has no file to check
 		}
 		k.results.Delete(memoKey) // output vanished; recompute
 	}
+	// phase closes the phase that just ran and opens the next one.
+	mark := out.Started
+	phase := func(d *time.Duration) {
+		now := time.Now()
+		*d, mark = now.Sub(mark), now
+	}
 
-	if err := k.fetchGranuleInputs(ctx, g, dataDir, stringFrom(args, "archive_url"), stringFrom(args, "archive_token")); err != nil {
+	if err := k.fetchGranuleInputs(ctx, g, a.DataDir, a.ArchiveURL, a.ArchiveToken); err != nil {
 		return nil, err
 	}
-	read := func(kind modis.Kind) (*hdf.File, error) {
+	phase(&out.Fetch)
+	var files [3]*hdf.File
+	for i, kind := range []modis.Kind{modis.L1B, modis.Geo, modis.Cloud} {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
-		return hdf.ReadFile(filepath.Join(dataDir, modis.FileName(prod, g)))
+		if files[i], err = hdf.ReadFile(filepath.Join(a.DataDir, modis.FileName(prod, g))); err != nil {
+			return nil, err
+		}
 	}
-	mod02, err := read(modis.L1B)
-	if err != nil {
-		return nil, err
-	}
-	mod03, err := read(modis.Geo)
-	if err != nil {
-		return nil, err
-	}
-	mod06, err := read(modis.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	res, err := tile.Extract(mod02, mod03, mod06, tile.Options{
-		TileSize:     intFrom(args, "tile_pixels"),
-		MinCloudFrac: floatFrom(args, "min_cloud_frac"),
+	res, err := tile.Extract(files[0], files[1], files[2], tile.Options{
+		TileSize:     a.TilePixels,
+		MinCloudFrac: a.MinCloudFrac,
 		Arena:        k.arena,
 	})
 	if err != nil {
 		return nil, err
 	}
+	phase(&out.Extract)
 	if len(res.Tiles) == 0 {
-		out := PreprocessResult{}
 		k.results.Put(memoKey, out)
-		return out.asMap(), nil // night granule or no ocean clouds
+		return out, nil // night granule or no ocean clouds
 	}
-	if err := os.MkdirAll(tileDir, 0o755); err != nil {
-		return nil, err
-	}
-	// Same name core's in-process path produces, so local and fleet
-	// distribution yield byte-identical layouts on shared storage.
-	name := fmt.Sprintf("tiles.%s.A%04d%03d.%s.nc", g.Satellite.Prefix(), g.Year, g.DOY, g.HHMM())
-	path := filepath.Join(tileDir, name)
-	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {
-		return nil, err
-	}
-	out := PreprocessResult{Tiles: len(res.Tiles), File: path}
-	k.results.Put(memoKey, out)
-	return out.asMap(), nil
-}
-
-func (r PreprocessResult) asMap() map[string]any {
-	return map[string]any{"tiles": r.Tiles, "file": r.File}
-}
-
-// label is the inference kernel: load (or reuse) the labeler for the
-// model/codebook pair and label the tile file in place. AppendLabels
-// rewrites via temp+rename, and labels are deterministic for a given
-// precision, so duplicated leases are idempotent here too — and, like
-// preprocess, memoized: a stolen or requeued task whose file this
-// worker already labeled returns the cached count without rerunning
-// inference.
-func (k *Kernels) label(ctx context.Context, args map[string]any) (any, error) {
-	file := stringFrom(args, "file")
-	model := stringFrom(args, "model")
-	codebook := stringFrom(args, "codebook")
-	if file == "" || model == "" || codebook == "" {
-		return nil, fmt.Errorf("fleet: label needs file, model and codebook")
-	}
-	prec, err := aicca.ParsePrecision(stringFrom(args, "precision"))
-	if err != nil {
-		return nil, err
-	}
-	memoKey := fmt.Sprintf("label|%s|%s|%s|%v", file, model, codebook, prec)
-	if v, ok := k.results.Get(memoKey); ok {
-		if _, err := os.Stat(file); err == nil {
-			return map[string]any{"labeled": v.(int)}, nil
-		}
-		k.results.Delete(memoKey) // labeled file vanished; recompute
-	}
-	l, err := k.labelerFor(model, codebook)
+	l, err := k.labelerFor(a.Model, a.Codebook)
 	if err != nil {
 		return nil, err
 	}
@@ -486,12 +440,23 @@ func (k *Kernels) label(ctx context.Context, args map[string]any) (any, error) {
 		ll.Precision = prec
 		l = &ll
 	}
-	n, err := l.LabelFile(file)
-	if err != nil {
+	if _, err := l.LabelTiles(res.Tiles); err != nil {
 		return nil, err
 	}
-	k.results.Put(memoKey, n)
-	return map[string]any{"labeled": n}, nil
+	phase(&out.Label)
+	// A lease canceled while it computed (task timeout, forced stop) must
+	// not publish: nobody is waiting for this copy's file.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out.File = filepath.Join(a.OutboxDir, tile.FileName(g))
+	if err := tile.WriteNetCDF(out.File, res.Tiles); err != nil {
+		return nil, err
+	}
+	phase(&out.Write)
+	out.Tiles, out.Labeled = len(res.Tiles), len(res.Tiles)
+	k.results.Put(memoKey, out)
+	return out, nil
 }
 
 // labelerFor loads a labeler once per model/codebook pair.
@@ -526,30 +491,4 @@ func parseSatellite(s string) (modis.Satellite, error) {
 		return modis.Aqua, nil
 	}
 	return 0, fmt.Errorf("fleet: unknown satellite %q", s)
-}
-
-// intFrom tolerates the JSON hop turning ints into float64s.
-func intFrom(m map[string]any, key string) int {
-	switch v := m[key].(type) {
-	case int:
-		return v
-	case float64:
-		return int(v)
-	}
-	return 0
-}
-
-func floatFrom(m map[string]any, key string) float64 {
-	switch v := m[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	}
-	return 0
-}
-
-func stringFrom(m map[string]any, key string) string {
-	s, _ := m[key].(string)
-	return s
 }

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -75,9 +77,9 @@ func TestWorkerLifecycle(t *testing.T) {
 	}
 }
 
-// TestWorkerServesStandardKernels: the standard kernel names are
-// registered on every worker endpoint.
-func TestWorkerServesStandardKernels(t *testing.T) {
+// TestWorkerServesGranuleKernel: the one granule task function — and no
+// other standard kernel — is registered on every worker endpoint.
+func TestWorkerServesGranuleKernel(t *testing.T) {
 	_, srv := newTestControlPlane(t, Config{})
 	w, err := NewWorker(WorkerConfig{ID: "k", CoordinatorURL: srv.URL})
 	if err != nil {
@@ -93,12 +95,43 @@ func TestWorkerServesStandardKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := map[string]bool{}
-	for _, f := range fns {
-		have[f] = true
+	if len(fns) != 1 || fns[0] != GranuleFunction {
+		t.Fatalf("worker functions = %v, want exactly [%s]", fns, GranuleFunction)
 	}
-	if !have[PreprocessFunction] || !have[LabelFunction] {
-		t.Fatalf("worker functions = %v, want %s and %s", fns, PreprocessFunction, LabelFunction)
+}
+
+// TestClientHeartbeatMatchesStatusNotText: only a 404 *response* means
+// "evicted, re-register". A refused connection to a coordinator whose
+// port happens to contain "404" is an outage, and must not be read as an
+// eviction from the error text.
+func TestClientHeartbeatMatchesStatusNotText(t *testing.T) {
+	_, srv := newTestControlPlane(t, Config{})
+	var unknown *ErrUnknownWorker
+	if err := NewClient(srv.URL).Heartbeat(context.Background(), "ghost"); !errors.As(err, &unknown) {
+		t.Fatalf("heartbeat answered 404 but the error is %v, want *ErrUnknownWorker", err)
+	}
+
+	// A dead listener on a port containing "404": bind it to learn the
+	// port is free, then close it so the dial is refused.
+	var dead string
+	for _, port := range []string{"14046", "40431", "24046", "34046", "40441"} {
+		ln, err := net.Listen("tcp", "127.0.0.1:"+port)
+		if err != nil {
+			continue
+		}
+		dead = "http://" + ln.Addr().String()
+		ln.Close()
+		break
+	}
+	if dead == "" {
+		t.Skip("no free port containing 404 on this host")
+	}
+	err := NewClient(dead).Heartbeat(context.Background(), "w1")
+	if err == nil {
+		t.Fatal("heartbeat to a dead listener succeeded")
+	}
+	if errors.As(err, &unknown) {
+		t.Fatalf("refused connection to %s misread as eviction: %v", dead, err)
 	}
 }
 

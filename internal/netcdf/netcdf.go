@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -365,16 +366,32 @@ func checkName(name string) error {
 }
 
 // WriteFile encodes the dataset to path atomically (temp file + rename).
+// The temp name is unique per call — concurrent writers of one path, in
+// this process or another, each rename their own complete file into
+// place — and ends in ".tmp", so it never matches a "*.nc" watcher.
 func WriteFile(path string, f *File) error {
 	data, err := Encode(f)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's 0600 would hide the file from other facilities' users
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort; the write error is the one to report
+	}
+	return err
 }
 
 // ReadFile decodes the dataset at path.

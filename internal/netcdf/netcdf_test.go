@@ -2,10 +2,14 @@ package netcdf
 
 import (
 	"encoding/binary"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,6 +270,83 @@ func TestFileRoundTripOnDisk(t *testing.T) {
 	}
 	if title, ok := got.Attrs.GetString("title"); !ok || !strings.Contains(title, "AICCA") {
 		t.Fatalf("title = %q", title)
+	}
+}
+
+// TestWriteFileConcurrentWritersOfOnePath is the duplicated-lease case:
+// several writers (two worker processes holding the same granule after a
+// steal) publish the same path at once. Every writer must succeed, a
+// reader that can open the path must always decode a complete file, and
+// no temp file may be left behind.
+func TestWriteFileConcurrentWritersOfOnePath(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tiles.nc")
+	const writers, rounds, values = 8, 25, 64 << 10
+	build := func() *File {
+		f := New()
+		if err := f.AddDim("n", values); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.AddFloat("radiance", []string{"n"}, make([]float32, values)); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	stop := make(chan struct{})
+	var readers, writing sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f, err := ReadFile(path)
+				if errors.Is(err, fs.ErrNotExist) {
+					continue // nothing published yet
+				}
+				if err != nil {
+					t.Errorf("reader saw a torn file: %v", err)
+					return
+				}
+				if v, err := f.Var("radiance"); err != nil || v.Len() != values {
+					t.Errorf("reader decoded an incomplete dataset: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		f := build()
+		go func() {
+			defer writing.Done()
+			for i := 0; i < rounds; i++ {
+				if err := WriteFile(path, f); err != nil {
+					t.Errorf("writer failed: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	readers.Wait()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "tiles.nc" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only tiles.nc", names)
 	}
 }
 

@@ -66,13 +66,9 @@ type InferenceConfig struct {
 	// StallTimeout caps the wait for inference to catch up with the
 	// expected file count; default 5 minutes.
 	StallTimeout time.Duration
-	// OnMoved, when set, observes every labeled file move (provenance).
+	// OnMoved, when set, observes every labeled file reaching OutboxDir
+	// (provenance): moved there by a flow, or reported through Published.
 	OnMoved func(src, dst string, labeled int, started, ended time.Time)
-	// LabelFile, when set, replaces the in-process batcher for the
-	// flow's inference action — the hook fleet distribution uses to
-	// lease labeling to a worker process. It must label the file in
-	// place and return the tile count; the move step stays local.
-	LabelFile func(ctx context.Context, path string) (int, error)
 }
 
 func (c InferenceConfig) withDefaults() InferenceConfig {
@@ -173,12 +169,12 @@ func (s *InferenceService) Setup(ctx context.Context, rc *RunContext) error {
 	s.flowFailures = rc.Metrics.Counter("eoml_inference_flow_failures_total",
 		"Label-and-move flows that returned an error.")
 	s.tilesCtr = rc.Metrics.Counter("eoml_inference_tiles_labeled_total",
-		"Tiles labeled across all watched files.")
+		"Tiles labeled across all watched and published files.")
 	rc.Metrics.GaugeFunc("eoml_inference_files_expected",
 		"Tile files upstream says to expect (0 until the expectation is set).",
 		func() float64 { return float64(s.Expected()) })
 	rc.Metrics.CounterFunc("eoml_inference_flows_completed_total",
-		"Label-and-move flows finished, successfully or not.",
+		"Label-and-move flows finished, successfully or not, plus files published already labeled.",
 		func() float64 { return float64(s.Completed()) })
 	rc.Health.Watch("monitor", 0)
 	rc.Health.Watch(s.Name(), s.cfg.StallTimeout)
@@ -262,26 +258,49 @@ func (s *InferenceService) worker(ctx context.Context, rc *RunContext) {
 		if err == nil {
 			out, err = run.Wait(ctx)
 		}
-		s.mu.Lock()
-		s.completed++
 		if err != nil {
-			s.flowErrs = append(s.flowErrs, fmt.Errorf("flow %s: %w", filepath.Base(ev.Path), err))
+			err = fmt.Errorf("flow %s: %w", filepath.Base(ev.Path), err)
 			s.flowFailures.Inc()
 		} else {
-			s.filesLabeled++
-			if n, ok := out["labeled"].(int); ok {
-				s.tilesLabeled += n
-				s.tilesCtr.Add(int64(n))
-			}
-			rc.Timeline.Record("inference", rc.Since(), s.filesLabeled)
 			s.flowOut.Inc()
 		}
-		s.mu.Unlock()
-		// Every completed flow — failed or not — is liveness: the stall
-		// clock tracks progress, not success.
-		s.health.Beat(s.Name())
-		s.bump()
+		labeled, _ := out["labeled"].(int)
+		s.settle(rc, labeled, rc.Since(), err)
 	}
+}
+
+// settle counts one file as done — labeled and in OutboxDir at run
+// offset at, or failed with err — and wakes Run.
+func (s *InferenceService) settle(rc *RunContext, labeled int, at float64, err error) {
+	s.mu.Lock()
+	s.completed++
+	if err != nil {
+		s.flowErrs = append(s.flowErrs, err)
+	} else {
+		s.filesLabeled++
+		s.tilesLabeled += labeled
+		s.tilesCtr.Add(int64(labeled))
+		rc.Timeline.Record("inference", at, s.filesLabeled)
+	}
+	s.mu.Unlock()
+	// Every settled file — failed or not — is liveness: the stall clock
+	// tracks progress, not success.
+	s.health.Beat(s.Name())
+	s.bump()
+}
+
+// Published counts a file that reached OutboxDir already labeled — a
+// fleet worker writes its granule's labeled NetCDF there directly — as
+// one completed file, exactly as if a flow had labeled and moved it:
+// ExpectFiles, the stall clock and the shipment gate see no difference,
+// and OnMoved fires with the labeling interval the producer reports.
+// The monitor and flow event series do not count it; nothing was
+// watched or triggered. Call only after Setup.
+func (s *InferenceService) Published(rc *RunContext, path string, labeled int, started, ended time.Time) {
+	if s.cfg.OnMoved != nil {
+		s.cfg.OnMoved(path, path, labeled, started, ended)
+	}
+	s.settle(rc, labeled, ended.Sub(rc.Epoch).Seconds(), nil)
 }
 
 // bump nudges the progress channel so Run re-checks its condition.
@@ -402,9 +421,6 @@ func (s *InferenceService) inferenceProvider() flows.ActionProvider {
 		path, _ := params["file"].(string)
 		if path == "" {
 			return nil, fmt.Errorf("stage: inference action needs a file")
-		}
-		if s.cfg.LabelFile != nil {
-			return s.cfg.LabelFile(ctx, path)
 		}
 		return s.batcher.LabelFile(path)
 	}

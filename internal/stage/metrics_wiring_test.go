@@ -108,3 +108,73 @@ func TestInferenceStallFlipsHealthz(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishedFilesCountLikeFlows: a file that reached the outbox
+// already labeled (a fleet worker's granule) satisfies the expectation,
+// beats the stall clock and fires OnMoved exactly as a label-and-move
+// flow would — with the producer's own times on the timeline — while the
+// monitor and flow event series stay at zero: nothing was watched.
+func TestPublishedFilesCountLikeFlows(t *testing.T) {
+	type moved struct {
+		dst            string
+		labeled        int
+		started, ended time.Time
+	}
+	var seen []moved
+	svc := NewInferenceService(InferenceConfig{
+		WatchDir:     t.TempDir(),
+		PollInterval: time.Hour,
+		OutboxDir:    t.TempDir(),
+		StallTimeout: 5 * time.Second,
+		OnMoved: func(_, dst string, labeled int, started, ended time.Time) {
+			seen = append(seen, moved{dst, labeled, started, ended})
+		},
+	})
+	rc, reg, h := instrumentedRC()
+	rc.Epoch = time.Now()
+	at := func(ms int) time.Time { return rc.Epoch.Add(time.Duration(ms) * time.Millisecond) }
+	producer := Func("preprocess", func(ctx context.Context, rc *RunContext) error {
+		svc.Published(rc, "/outbox/a.nc", 5, at(10), at(20))
+		svc.Published(rc, "/outbox/b.nc", 7, at(15), at(40))
+		svc.ExpectFiles(2)
+		return nil
+	})
+	if err := NewOrchestrator(rc).Execute(context.Background(), producer, svc); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Completed() != 2 || svc.FilesLabeled() != 2 || svc.TilesLabeled() != 12 || svc.FlowsFailed() != 0 {
+		t.Fatalf("completed=%d files=%d tiles=%d failed=%d, want 2 2 12 0",
+			svc.Completed(), svc.FilesLabeled(), svc.TilesLabeled(), svc.FlowsFailed())
+	}
+	want := []moved{{"/outbox/a.nc", 5, at(10), at(20)}, {"/outbox/b.nc", 7, at(15), at(40)}}
+	if len(seen) != 2 || seen[0] != want[0] || seen[1] != want[1] {
+		t.Fatalf("OnMoved saw %+v, want %+v", seen, want)
+	}
+	samples := rc.Timeline.Samples("inference")
+	if len(samples) != 2 || samples[0].T != 0.020 || samples[1].T != 0.040 || samples[1].Count != 2 {
+		t.Fatalf("inference timeline = %+v, want the producer's end times", samples)
+	}
+	for _, f := range reg.Snapshot() {
+		for _, s := range f.Series {
+			switch {
+			case f.Name == "eoml_inference_tiles_labeled_total" && s.Value != 12:
+				t.Errorf("%s = %v, want 12", f.Name, s.Value)
+			case f.Name == MetricStageEvents && s.Value != 0 &&
+				(hasLabel(s.Labels, "stage", "monitor") || hasLabel(s.Labels, "stage", "inference")):
+				t.Errorf("%s%v = %v, want 0: published files are not watched", f.Name, s.Labels, s.Value)
+			}
+		}
+	}
+	if healthy, stages := h.Check(); !healthy {
+		t.Fatalf("unhealthy after published files: %+v", stages)
+	}
+}
+
+func hasLabel(labels []metrics.Label, name, value string) bool {
+	for _, l := range labels {
+		if l == metrics.L(name, value) {
+			return true
+		}
+	}
+	return false
+}

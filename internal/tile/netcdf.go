@@ -3,6 +3,7 @@ package tile
 import (
 	"fmt"
 
+	"github.com/eoml/eoml/internal/modis"
 	"github.com/eoml/eoml/internal/netcdf"
 )
 
@@ -247,6 +248,13 @@ func FromNetCDF(f *netcdf.File) ([]*Tile, error) {
 		}
 	}
 	return tiles, nil
+}
+
+// FileName is the name of granule g's tile NetCDF, the same wherever
+// the file is produced — in-process or on a fleet worker — so both
+// distributions leave identical layouts.
+func FileName(g modis.GranuleID) string {
+	return fmt.Sprintf("tiles.%s.A%04d%03d.%s.nc", g.Satellite.Prefix(), g.Year, g.DOY, g.HHMM())
 }
 
 // WriteNetCDF writes a tile batch to path.

@@ -170,7 +170,10 @@ func (s *Service) Submit(srcEP, dstEP string, items []Item) (string, error) {
 
 // SubmitDir transfers every regular file under srcDir (relative to the
 // source endpoint root) into dstDir on the destination endpoint,
-// preserving relative paths.
+// preserving relative paths. Names ending in ".tmp" are skipped: they
+// are the staging files of atomic writers (netcdf.WriteFile), and one
+// seen here belongs to a writer still at work — a duplicated fleet lease
+// finishing late — that is about to rename it away.
 func (s *Service) SubmitDir(srcEP, dstEP, srcDir, dstDir string) (string, error) {
 	src, err := s.Endpoint(srcEP)
 	if err != nil {
@@ -182,7 +185,7 @@ func (s *Service) SubmitDir(srcEP, dstEP, srcDir, dstDir string) (string, error)
 		if err != nil {
 			return err
 		}
-		if info.IsDir() {
+		if info.IsDir() || strings.HasSuffix(path, ".tmp") {
 			return nil
 		}
 		rel, err := filepath.Rel(base, path)

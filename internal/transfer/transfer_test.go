@@ -156,6 +156,7 @@ func TestSubmitDirPreservesTree(t *testing.T) {
 	writeFile(t, src, "day1/g1/tiles.nc", []byte("1"))
 	writeFile(t, src, "day1/g2/tiles.nc", []byte("22"))
 	writeFile(t, src, "day1/readme.txt", []byte("333"))
+	writeFile(t, src, "day1/g2/tiles.nc.4711.tmp", []byte("a writer's staging file"))
 	id, err := s.SubmitDir("defiant", "orion", "day1", "archive/day1")
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +172,9 @@ func TestSubmitDirPreservesTree(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dst, rel)); err != nil {
 			t.Fatalf("missing %s: %v", rel, err)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dst, "archive/day1/g2/tiles.nc.4711.tmp")); err == nil {
+		t.Fatal("shipped an in-flight staging file")
 	}
 }
 
