@@ -122,12 +122,14 @@ bench-granule-test:
 	cd benchmarks && $(GO) test ./...
 
 # Correctness gate only: one second of campaign_local still runs ten
-# campaigns and checks every shipped label against the reference, and
-# one second of campaign_fleet_warm does the same through the fleet's
-# one-task-per-granule path and fails on any archive request from warm
-# caches; the numbers they print are too short to mean anything.
+# campaigns and checks every shipped label against the reference, one
+# second of stream_local does the same through the streaming driver, and
+# one second of campaign_fleet_warm does it through worker processes over
+# HTTP and fails on any archive request from warm caches; the numbers
+# they print are too short to mean anything.
 bench-granule-smoke:
 	bash benchmarks/run.sh --workload campaign_local --seconds 1
+	bash benchmarks/run.sh --workload stream_local --seconds 1
 	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1
 
 # Every figure/table/ablation benchmark in the repo.

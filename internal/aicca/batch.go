@@ -17,7 +17,8 @@ type BatchConfig struct {
 	// batch width (256) makes one full flush one full encode batch.
 	MaxTiles int
 	// Deprecated: MaxDelay is ignored since PR 13 — no submission is held
-	// back for company any more, so there is no window to bound.
+	// back for company any more, so there is no window to bound. It stays
+	// only because the granule benchmark's batcher probe still sets it.
 	MaxDelay time.Duration
 	// Timeline, when set, receives one "inference.batch" span per flush
 	// (tile count at flush start, zero at flush end).

@@ -1,9 +1,11 @@
 // Package core orchestrates the real-mode EO-ML workflow: the five-stage
 // pipeline of the paper (download → preprocess → monitor & trigger →
 // inference → shipment) executed against actual bytes — a LAADS-style
-// archive over HTTP, HDF-lite granules on disk, Parsl-style elastic
-// workers doing real tile extraction, a Globus-Flows-style inference
-// flow, and a checksum-verified transfer to the destination filesystem.
+// archive over HTTP, HDF-lite granules on disk, one fleet task per
+// granule doing real tile extraction and labeling (in-process or on
+// worker processes), a Globus-Flows-style inference flow for tile files
+// other writers drop in, and a checksum-verified transfer to the
+// destination filesystem.
 //
 // Users declare a run in a YAML file (parsed by internal/yamlite), just
 // as the paper's users configure their queries, endpoints, products, and
@@ -41,34 +43,39 @@ type Config struct {
 	DestDir   string // destination filesystem ("Orion")
 
 	// Stage parallelism (the paper's Fig. 6 run uses 3 / 32 / 1).
+	// PreprocessWorkers is the slot count of a local run's in-process
+	// fleet: how many granule tasks (read, tile, label, write) run at once.
 	DownloadWorkers   int
 	PreprocessWorkers int
 	// InferenceWorkers bounds concurrent label-and-move flows over tile
-	// files the monitor finds in TileDir. Under fleet distribution the
-	// run's own granules are labeled on the workers and never pass
-	// through these flows; the pool then serves only tile files other
-	// writers drop into TileDir.
+	// files the monitor finds in TileDir. A run's own granules are
+	// labeled inside their granule task and never pass through these
+	// flows; the pool serves only tile files other writers drop into
+	// TileDir.
 	InferenceWorkers int
 
 	// Tile extraction.
 	TilePixels   int // tile edge in granule pixels
 	MinCloudFrac float64
 
-	// Monitor: the crawler's fallback scan period. In-process producers
-	// poke the crawler as each tile file lands, so only files from writers
-	// that cannot poke wait for it.
+	// Monitor: the crawler's scan period over TileDir. Only tile files
+	// other writers drop there go through the monitor; a run's own
+	// granules never wait for it.
 	PollInterval time.Duration
 
 	// StallTimeout caps how long the run waits for inference to catch up
 	// with the expected tile-file count before declaring a stall.
 	StallTimeout time.Duration
 
-	// Inference batching: tiles from watched files that queue up behind a
-	// running encode are coalesced into the next one, up to BatchTiles.
+	// Inference batching: tiles from watched files (external tile files
+	// in TileDir) that queue up behind a running encode are coalesced into
+	// the next one, up to BatchTiles.
 	BatchTiles int
 	// Deprecated: BatchDelay (batch.delay_ms) is accepted and ignored
 	// since PR 13 — an idle encoder takes a file at once, so there is no
-	// batch window. Any value validates.
+	// batch window. Any value validates. It stays only because the
+	// granule benchmark's batcher probe still reads it; it goes with
+	// that probe.
 	BatchDelay time.Duration
 
 	// Precision selects the encode arithmetic for inference: "float32"
@@ -85,13 +92,14 @@ type Config struct {
 	// /metrics and /healthz on for the lifetime of the run.
 	MetricsAddr string
 
-	// Distribution selects where preprocess and inference execute:
-	// "local" (default — in-process Parsl pool and batcher) or "fleet"
-	// (one task per granule leased to a registered eoml-worker process
-	// via the engine's fleet coordinator; the worker writes the labeled
-	// file straight into OutboxDir, and nothing of the run's own lands in
-	// TileDir). Fleet mode requires model and codebook paths, since
-	// workers load weights from shared storage.
+	// Distribution selects where each granule's task — read, tile, label,
+	// write the labeled file straight into OutboxDir — executes: "local"
+	// (default — an in-process fleet of one with PreprocessWorkers slots,
+	// after stage 1 has downloaded the day into DataDir) or "fleet"
+	// (leased to registered eoml-worker processes via the engine's fleet
+	// coordinator; workers fetch their own inputs). Either way nothing of
+	// the run's own lands in TileDir. Fleet mode requires model and
+	// codebook paths, since workers load weights from shared storage.
 	Distribution string
 }
 

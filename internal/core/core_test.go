@@ -219,31 +219,29 @@ func TestPipelineWithNightGranule(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchedInference drives the pipeline with several
+// TestPipelineBatchedInference drives the monitor path with several
 // inference workers and a batch size small enough to force multiple
-// cross-file flushes, then checks every tile still gets labeled exactly
-// once and the per-batch spans show up on the timeline.
+// cross-file flushes — over tile files other writers drop into TileDir,
+// the only files that path sees — then checks every tile still gets
+// labeled exactly once and the per-batch spans show up on the timeline.
 func TestPipelineBatchedInference(t *testing.T) {
 	granules := findProductiveGranules(t, 4, 3)
 	labeler := trainTestLabeler(t, granules[0])
 	ts := newArchive(t)
-	cfg := testConfig(t, ts.URL, granules)
+	cfg := testConfig(t, ts.URL, nil)
 	cfg.InferenceWorkers = 3
 	cfg.BatchTiles = 8
 
-	p, err := New(cfg, labeler)
-	if err != nil {
-		t.Fatal(err)
+	rep, want := streamWithExternalFiles(t, cfg, labeler, granules[:1], granules)
+	external := 0
+	for _, labels := range want {
+		external += len(labels)
 	}
-	rep, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if rep.TilesLabeled != rep.TilesProduced+external {
+		t.Errorf("labeled %d tiles, want %d own + %d external", rep.TilesLabeled, rep.TilesProduced, external)
 	}
-	if rep.TilesLabeled != rep.TilesProduced {
-		t.Errorf("labeled %d of %d tiles", rep.TilesLabeled, rep.TilesProduced)
-	}
-	if rep.FilesShipped != rep.TileFiles {
-		t.Errorf("shipped %d of %d tile files", rep.FilesShipped, rep.TileFiles)
+	if rep.FilesShipped != rep.TileFiles+len(want) {
+		t.Errorf("shipped %d files, want %d own + %d external", rep.FilesShipped, rep.TileFiles, len(want))
 	}
 	entries, err := os.ReadDir(cfg.DestDir)
 	if err != nil {
@@ -416,11 +414,11 @@ func TestLoadConfigErrors(t *testing.T) {
 }
 
 // TestLabelPathWaitsOnNoTimer pins the work-conserving label path: with
-// the crawler's fallback tick (and the deprecated batch window) an hour
-// away, a batch run and a stream still finish promptly, because every
-// tile file is poked about as it lands, triggers at first sighting, and
-// meets an idle encoder. Anything left waiting on a tick or a window
-// would hit the deadline instead.
+// the crawler's tick (and the deprecated batch window) an hour away, a
+// batch run and a stream still finish promptly, because a run's own
+// granules are labeled inside their fleet task and never wait on the
+// monitor. Anything left waiting on a tick or a window would hit the
+// deadline instead.
 func TestLabelPathWaitsOnNoTimer(t *testing.T) {
 	granules := findProductiveGranules(t, 3, 3)
 	labeler := trainTestLabeler(t, granules[0])

@@ -2,32 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/eoml/eoml/internal/aicca"
 	"github.com/eoml/eoml/internal/fleet"
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
-	"github.com/eoml/eoml/internal/ricc"
-	"github.com/eoml/eoml/internal/tensor"
 )
 
 // Engine hosts N isolated workflow runs in one process — the control
 // plane's execution substrate. What is expensive or shared lives here
-// exactly once: loaded model weights (keyed by artifact paths, so a
-// hundred runs of the same campaign share one weight copy), the tile
-// decode scratch arena, and the per-tenant archive quotas. What belongs
-// to one run — its config, metric registry, health tracker, provenance
-// store, and stage objects — lives on the Run values NewRun hands out,
-// so concurrent runs never collide on state.
+// exactly once: the granule kernel set every in-process run executes on
+// (its model cache keys loaded weights by artifact paths, so a hundred
+// runs of the same campaign share one weight copy, and its decode
+// scratch arena is recycled across runs), the worker fleet, and the
+// per-tenant archive quotas. What belongs to one run — its config,
+// metric registry, health tracker, provenance store, and stage objects —
+// lives on the Run values NewRun hands out, so concurrent runs never
+// collide on state.
 type Engine struct {
-	labeler *aicca.Labeler       // optional programmatic labeler shared by every run
-	quotas  *laads.QuotaPool     // per-tenant archive request quotas (nil = unlimited)
-	extract *tensor.ShardedArena // shared per-granule decode scratch
-	fleet   *fleet.Coordinator   // worker fleet (nil = fleet distribution unavailable)
-
-	mu     sync.Mutex
-	models map[string]*aicca.Labeler // disk-loaded labelers keyed by model|codebook
+	quotas  *laads.QuotaPool   // per-tenant archive request quotas (nil = unlimited)
+	kernels *fleet.Kernels     // granule kernel, weights cache and decode arena of in-process runs
+	fleet   *fleet.Coordinator // worker fleet (nil = fleet distribution unavailable)
 }
 
 // EngineOptions tunes a new Engine.
@@ -47,45 +42,11 @@ type EngineOptions struct {
 
 // NewEngine builds an engine.
 func NewEngine(opts EngineOptions) *Engine {
-	return &Engine{
-		labeler: opts.Labeler,
-		quotas:  opts.Quotas,
-		extract: tensor.NewShardedArena(),
-		fleet:   opts.Fleet,
-		models:  map[string]*aicca.Labeler{},
+	kernels := fleet.NewKernels()
+	if opts.Labeler != nil {
+		kernels.UseLabeler(opts.Labeler)
 	}
-}
-
-// labelerFor resolves the labeler a run uses: the config's named model
-// artifacts when present (loaded once and cached — subsequent runs share
-// the weights), else the engine's programmatic labeler.
-func (e *Engine) labelerFor(cfg Config) (*aicca.Labeler, error) {
-	if cfg.ModelPath == "" || cfg.CodebookPath == "" {
-		if e.labeler == nil {
-			return nil, fmt.Errorf("core: pipeline needs a labeler or model+codebook paths")
-		}
-		return e.labeler, nil
-	}
-	key := cfg.ModelPath + "|" + cfg.CodebookPath
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l, ok := e.models[key]; ok {
-		return l, nil
-	}
-	model, err := ricc.Load(cfg.ModelPath)
-	if err != nil {
-		return nil, err
-	}
-	cb, err := ricc.LoadCodebook(cfg.CodebookPath)
-	if err != nil {
-		return nil, err
-	}
-	l, err := aicca.NewLabeler(model, cb)
-	if err != nil {
-		return nil, err
-	}
-	e.models[key] = l
-	return l, nil
+	return &Engine{quotas: opts.Quotas, kernels: kernels, fleet: opts.Fleet}
 }
 
 // RunOptions carries the per-run identity the control plane assigns.
@@ -102,15 +63,16 @@ type RunOptions struct {
 
 // NewRun validates the config and builds an isolated run over the
 // engine's shared resources: its own child metric registry, health
-// tracker, and stage state, plus the shared weights, decode arena, and
-// tenant quota.
+// tracker, and stage state, plus the shared kernels and tenant quota.
+// A `fleet` run leases its granules to the engine's worker fleet; any
+// other run gets an in-process fleet of one per Run/RunStream call.
 func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	labeler, err := e.labelerFor(cfg)
+	labeler, err := e.kernels.Labeler(cfg.ModelPath, cfg.CodebookPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	var reg *metrics.Registry
 	switch {
@@ -121,21 +83,23 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 	default:
 		reg = metrics.NewRegistry()
 	}
-	if cfg.Distribution == DistributionFleet && e.fleet == nil {
-		return nil, fmt.Errorf("core: config asks for distribution %q but the engine has no fleet coordinator", cfg.Distribution)
-	}
 	r := &Run{
 		cfg:     cfg,
 		id:      opts.ID,
 		tenant:  opts.Tenant,
 		labeler: labeler,
-		extract: e.extract,
-		fleet:   e.fleet,
+		kernels: e.kernels,
 		quota:   e.quotas.Tenant(tenantOrDefault(opts.Tenant)),
 		metrics: reg,
 		health:  metrics.NewHealth(),
 	}
-	r.extract.Instrument(r.metrics, "tile")
+	if cfg.Distribution == DistributionFleet {
+		if e.fleet == nil {
+			return nil, fmt.Errorf("core: config asks for distribution %q but the engine has no fleet coordinator", cfg.Distribution)
+		}
+		r.fleet = e.fleet
+	}
+	e.kernels.Arena().Instrument(r.metrics, "tile")
 	return r, nil
 }
 

@@ -95,7 +95,7 @@ func TestStreamingMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		"eoml_stage_events_total", "eoml_stage_seconds",
 		"eoml_laads_client_requests_total", "eoml_labeler_batch_tiles",
-		"eoml_inference_tiles_labeled_total", "eoml_executor_busy_workers",
+		"eoml_inference_tiles_labeled_total", "eoml_fleet_tasks_inflight",
 	} {
 		if !fams[want] {
 			t.Errorf("report snapshot missing family %s", want)

@@ -3,21 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
 	"github.com/eoml/eoml/internal/fleet"
-	"github.com/eoml/eoml/internal/hdf"
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
-	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/parsl"
 	"github.com/eoml/eoml/internal/provenance"
 	"github.com/eoml/eoml/internal/stage"
-	"github.com/eoml/eoml/internal/tensor"
-	"github.com/eoml/eoml/internal/tile"
 	"github.com/eoml/eoml/internal/trace"
 )
 
@@ -45,21 +39,21 @@ type Report struct {
 // Run is one isolated execution of the five-stage workflow, built by
 // Engine.NewRun. Both execution modes — batch (Run) and streaming
 // (RunStream) — are thin drivers over the same stage objects from
-// internal/stage, composed in different orders. Every Run owns its own
-// metric registry, health tracker, and stage state; the model weights,
-// decode arena, and archive quota it uses are the engine's shared ones.
+// internal/stage and the same granule driver (core/fleet.go), composed
+// in different orders. Every Run owns its own metric registry, health
+// tracker, and stage state; the kernels and archive quota it uses are
+// the engine's shared ones.
 type Run struct {
-	cfg     Config
-	id      string
-	tenant  string
+	cfg    Config
+	id     string
+	tenant string
+	// labeler labels tile files other writers drop into TileDir.
 	labeler *aicca.Labeler
 	prov    *provenance.Store
-	// extract recycles per-granule decode scratch across the concurrent
-	// preprocessing workers (one shard per worker in flight); shared
-	// engine-wide, so concurrent runs recycle one pool.
-	extract *tensor.ShardedArena
-	// fleet leases granule tasks to worker processes when
-	// cfg.Distribution is "fleet"; nil otherwise.
+	// kernels is the engine's granule kernel set, which an in-process
+	// fleet of one runs the run's granules on.
+	kernels *fleet.Kernels
+	// fleet is the engine's worker fleet for a `fleet` run; nil otherwise.
 	fleet   *fleet.Coordinator
 	quota   *laads.Quota
 	metrics *metrics.Registry
@@ -144,12 +138,10 @@ func (p *Run) newReport(granules int) (*Report, *stage.RunContext) {
 
 // inferenceService builds the shared monitor+inference stage: crawler,
 // flow engine, cross-file batcher, and bounded worker pool, armed at
-// setup so labeling overlaps preprocessing (the paper's Fig. 6). The
-// local drivers poke it as each granule's tile file lands, so the monitor
-// scans then rather than at its next PollInterval tick. Under fleet
-// distribution workers publish labeled files themselves and report them
-// through Published; the monitor stays armed over TileDir for tile files
-// written by anyone else.
+// setup. The run's own granules never reach it as tile files: the fleet
+// task publishes each labeled file itself and the driver reports it
+// through Published. The monitor stays armed over TileDir for tile files
+// other writers drop there — the paper's stage 3 exists for them.
 func (p *Run) inferenceService() *stage.InferenceService {
 	return stage.NewInferenceService(stage.InferenceConfig{
 		Labeler:      p.labeler,
@@ -185,19 +177,20 @@ func (p *Run) finish(rep *Report, rc *stage.RunContext, svc *stage.InferenceServ
 }
 
 // Run executes download → preprocess → monitor/trigger → inference →
-// shipment and returns the run report. The inference service arms
-// during orchestrator setup, so labeling overlaps preprocessing as in
-// the paper's Fig. 6; shipment begins once every tile file is labeled.
+// shipment and returns the run report. Each granule is one fleet task
+// that tiles, labels and publishes it into OutboxDir; the inference
+// service arms during orchestrator setup and counts those files as they
+// are published (and labels any tile file another writer drops into
+// TileDir); shipment begins once every file is in.
 func (p *Run) Run(ctx context.Context) (*Report, error) {
 	rep, rc := p.newReport(len(p.cfg.GranuleIDs()))
 	svc := p.inferenceService()
 	ship := p.shipment(svc)
+	coord, release := p.coordinator()
+	defer release()
 
 	download := stage.Func("download", func(ctx context.Context, rc *stage.RunContext) error {
-		if p.cfg.Distribution == DistributionFleet {
-			// Tasks ship granule refs, not bytes: each worker fetches the
-			// granules it leases straight from the archive, so no data
-			// moves through this process.
+		if p.workersFetch() {
 			rc.Health.Beat("download")
 			rc.Timeline.Record("download", rc.Since(), 0)
 			return nil
@@ -215,19 +208,15 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 		return nil
 	})
 	preprocess := stage.Func("preprocess", func(ctx context.Context, rc *stage.RunContext) error {
-		rc.EventCounter("preprocess", stage.EventIn).Add(int64(len(p.cfg.GranuleIDs())))
-		var files, tiles int
-		var err error
-		if p.cfg.Distribution == DistributionFleet {
-			files, tiles, err = p.preprocessFleet(ctx, rc, svc)
-		} else {
-			files, tiles, err = p.preprocessBatch(ctx, rc, svc.Poke)
+		d := p.driver(rc, svc, coord)
+		for _, g := range p.cfg.GranuleIDs() {
+			d.submit(ctx, g)
 		}
+		files, tiles, err := d.wait()
 		if err != nil {
 			return err
 		}
 		rep.TileFiles, rep.TilesProduced = files, tiles
-		rc.EventCounter("preprocess", stage.EventOut).Add(int64(files))
 		svc.ExpectFiles(files)
 		return nil
 	})
@@ -240,103 +229,6 @@ func (p *Run) Run(ctx context.Context) (*Report, error) {
 		return rep, fmt.Errorf("core: %w", err)
 	}
 	return rep, nil
-}
-
-// preprocessBatch runs the Parsl block over every configured granule,
-// calling landed as each tile file is in place, and returns (tileFiles,
-// tilesProduced).
-func (p *Run) preprocessBatch(ctx context.Context, rc *stage.RunContext, landed func()) (int, int, error) {
-	exec, err := parsl.NewHTEX(parsl.HTEXConfig{
-		Label:          "preprocess",
-		WorkersPerNode: p.cfg.PreprocessWorkers,
-		InitBlocks:     1,
-		MaxBlocks:      1,
-		OnWorkerChange: func(busy int) {
-			rc.Timeline.Record("preprocess", rc.Since(), busy)
-			rc.Health.Beat("preprocess")
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	exec.Instrument(p.metrics)
-	if err := exec.Start(ctx); err != nil {
-		return 0, 0, err
-	}
-	defer exec.Shutdown(ctx)
-	dfk, err := parsl.NewDFK(exec, parsl.DFKConfig{Retries: 1})
-	if err != nil {
-		return 0, 0, err
-	}
-
-	granules := p.cfg.GranuleIDs()
-	apps := make([]parsl.App, len(granules))
-	for i, g := range granules {
-		g := g
-		apps[i] = func(ctx context.Context) (any, error) {
-			return p.preprocessGranule(g, landed)
-		}
-	}
-	files, tiles := 0, 0
-	for i, f := range dfk.Map("tiles", apps) {
-		v, err := f.Get(ctx)
-		if err != nil {
-			return 0, 0, fmt.Errorf("granule %d: %w", granules[i].Index, err)
-		}
-		r := v.(preResult)
-		tiles += r.tiles
-		if r.hasFile {
-			files++
-		}
-	}
-	return files, tiles, exec.Shutdown(ctx)
-}
-
-// preResult is the per-granule outcome of the preprocessing app.
-type preResult struct {
-	tiles   int
-	hasFile bool
-	done    time.Time // fleet only: when the worker finished the granule
-}
-
-// preprocessGranule converts one granule triple into a tile NetCDF and
-// calls landed once the file is in place.
-func (p *Run) preprocessGranule(g modis.GranuleID, landed func()) (any, error) {
-	started := time.Now()
-	read := func(kind modis.Kind) (*hdf.File, error) {
-		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
-		return hdf.ReadFile(filepath.Join(p.cfg.DataDir, modis.FileName(prod, g)))
-	}
-	mod02, err := read(modis.L1B)
-	if err != nil {
-		return nil, err
-	}
-	mod03, err := read(modis.Geo)
-	if err != nil {
-		return nil, err
-	}
-	mod06, err := read(modis.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	res, err := tile.Extract(mod02, mod03, mod06, tile.Options{
-		TileSize:     p.cfg.TilePixels,
-		MinCloudFrac: p.cfg.MinCloudFrac,
-		Arena:        p.extract,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Tiles) == 0 {
-		return preResult{}, nil // night granule or no ocean clouds
-	}
-	path := filepath.Join(p.cfg.TileDir, tile.FileName(g))
-	if err := tile.WriteNetCDF(path, res.Tiles); err != nil {
-		return nil, err
-	}
-	landed()
-	p.recordPreprocess(g, path, len(res.Tiles), started, time.Now())
-	return preResult{tiles: len(res.Tiles), hasFile: true}, nil
 }
 
 // Summary renders a one-paragraph report.

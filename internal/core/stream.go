@@ -6,29 +6,29 @@ import (
 
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/parsl"
 	"github.com/eoml/eoml/internal/stage"
 )
 
 // RunStream executes the workflow in streaming mode — the paper's §V
 // extension to "batch as well as streaming data". Granule indices arrive
 // on a channel (as they would from a satellite downlink feed); each
-// arrival is downloaded and preprocessed immediately, the monitor/flow
-// machinery labels tile files as they appear, and shipment happens once
-// the stream closes and the backlog drains.
+// arrival is downloaded and handed to the granule driver immediately,
+// and shipment happens once the stream closes and the backlog drains.
 //
 // Unlike Run, preprocessing is NOT delayed until all downloads finish:
-// per-granule isolation (atomic writes, per-granule tile files) makes the
+// per-granule isolation (atomic writes, per-granule files) makes the
 // partial-file hazard of the batch design structurally impossible here.
-// The monitor+inference machinery and the shipment drain are the same
-// stage objects Run composes; only the ingest stage differs.
+// The inference service, the shipment drain and the granule driver are
+// the ones Run composes; only the ingest stage differs.
 func (p *Run) RunStream(ctx context.Context, arrivals <-chan int) (*Report, error) {
 	rep, rc := p.newReport(0)
 	svc := p.inferenceService()
 	ship := p.shipment(svc)
+	coord, release := p.coordinator()
+	defer release()
 
 	ingest := stage.Func("ingest", func(ctx context.Context, rc *stage.RunContext) error {
-		return p.ingestStream(ctx, rc, arrivals, rep, svc)
+		return p.ingestStream(ctx, rc, arrivals, rep, p.driver(rc, svc, coord))
 	})
 
 	err := stage.NewOrchestrator(rc).Execute(ctx, ingest, svc, ship)
@@ -41,33 +41,10 @@ func (p *Run) RunStream(ctx context.Context, arrivals <-chan int) (*Report, erro
 }
 
 // ingestStream consumes the arrival feed: each granule's product triple
-// is downloaded and its preprocessing app submitted to a persistent
-// executor; once the stream closes, the preprocessing backlog drains and
-// the inference service learns how many tile files to expect.
-func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <-chan int, rep *Report, svc *stage.InferenceService) error {
-	exec, err := parsl.NewHTEX(parsl.HTEXConfig{
-		Label:          "stream-preprocess",
-		WorkersPerNode: p.cfg.PreprocessWorkers,
-		InitBlocks:     1,
-		MaxBlocks:      1,
-		OnWorkerChange: func(busy int) {
-			rc.Timeline.Record("preprocess", rc.Since(), busy)
-			rc.Health.Beat("preprocess")
-		},
-	})
-	if err != nil {
-		return err
-	}
-	exec.Instrument(p.metrics)
-	if err := exec.Start(ctx); err != nil {
-		return err
-	}
-	defer exec.Shutdown(ctx)
-	dfk, err := parsl.NewDFK(exec, parsl.DFKConfig{Retries: 1})
-	if err != nil {
-		return err
-	}
-
+// is downloaded (unless the fleet's workers fetch it) and the granule
+// submitted; once the stream closes, the backlog drains and the
+// inference service learns how many files to expect.
+func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <-chan int, rep *Report, d *granuleDriver) error {
 	// The paper's download and preprocess stages live inside this one
 	// ingest stage in streaming mode; register their series eagerly so a
 	// streaming /metrics scrape covers all five stages.
@@ -80,7 +57,8 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 	client := laads.NewClient(p.cfg.ArchiveURL, p.cfg.ArchiveToken)
 	client.Quota = p.quota
 	client.Instrument(p.metrics)
-	var futs []*parsl.AppFuture
+	// An early return must not leave collections running past the stage.
+	defer d.wait()
 	for open := true; open; {
 		var idx int
 		select {
@@ -96,9 +74,7 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 		}
 		g := modis.GranuleID{Satellite: p.cfg.Satellite, Year: p.cfg.Year, DOY: p.cfg.DOY, Index: idx}
 		rep.GranulesRequested++
-		// In fleet mode the leased worker fetches the granule ref itself;
-		// nothing downloads through this process.
-		if p.cfg.Distribution != DistributionFleet {
+		if !p.workersFetch() {
 			rc.Timeline.Record("download", rc.Since(), 1)
 			var tasks []laads.Task
 			for _, prod := range p.cfg.Products() {
@@ -112,42 +88,20 @@ func (p *Run) ingestStream(ctx context.Context, rc *stage.RunContext, arrivals <
 			rep.FilesDownloaded += len(dlRep.Files)
 			rep.BytesDownloaded += dlRep.TotalBytes
 			rc.EventCounter("download", stage.EventOut).Add(int64(len(dlRep.Files)))
-			rc.Health.Beat("download")
 			rc.Timeline.Record("download", rc.Since(), 0)
 		}
 		rc.Health.Beat("download")
-
-		rc.Event("preprocess", stage.EventIn)
-		futs = append(futs, dfk.Submit(fmt.Sprintf("stream-tiles[%d]", idx), func(ctx context.Context) (any, error) {
-			if p.cfg.Distribution != DistributionFleet {
-				return p.preprocessGranule(g, svc.Poke)
-			}
-			// One granule task; the pool only bounds how many are out.
-			fut, err := p.fleetSubmit(ctx, g)
-			if err != nil {
-				return nil, err
-			}
-			return p.fleetCollect(ctx, rc, svc, g, fut)
-		}))
+		d.submit(ctx, g)
 	}
 
-	// Stream closed: drain preprocessing and publish the expectation.
-	expect := 0
-	for i, f := range futs {
-		v, err := f.Get(ctx)
-		if err != nil {
-			return fmt.Errorf("preprocess %d: %w", i, err)
-		}
-		r := v.(preResult)
-		rep.TilesProduced += r.tiles
-		if r.hasFile {
-			expect++
-		}
-		rc.Event("preprocess", stage.EventOut)
+	// Stream closed: drain the backlog and publish the expectation.
+	files, tiles, err := d.wait()
+	if err != nil {
+		return err
 	}
-	rep.TileFiles = expect
-	svc.ExpectFiles(expect)
+	rep.TileFiles, rep.TilesProduced = files, tiles
+	d.svc.ExpectFiles(files)
 	rc.Health.Done("download")
 	rc.Health.Done("preprocess")
-	return exec.Shutdown(ctx)
+	return nil
 }

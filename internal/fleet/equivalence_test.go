@@ -169,11 +169,13 @@ func startWorkers(t *testing.T, coordinatorURL string, n, slots int) {
 	}
 }
 
-// TestFleetMatchesLocalLabels is the acceptance property: the same
-// granules, model, and codebook must produce identical AICCA labels —
-// and byte-identical products — whether the run executes in-process or
-// fleet-distributed.
-func TestFleetMatchesLocalLabels(t *testing.T) {
+// TestInMemoryTransportMatchesHTTP is the acceptance property of the one
+// granule path: a local run (the in-process fleet of one, reached by
+// direct call) and a fleet run (worker processes reached over HTTP) of
+// the same granules, model, and codebook must produce identical AICCA
+// labels and byte-identical products, and neither may leave a tile file
+// in TileDir.
+func TestInMemoryTransportMatchesHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end equivalence run")
 	}
@@ -249,9 +251,8 @@ func TestFleetMatchesLocalLabels(t *testing.T) {
 		t.Fatalf("shipped files: local %d, fleet %d", len(localLabels), len(fleetLabels))
 	}
 
-	// Same products byte for byte — the worker's single labeled write
-	// equals the local path's write, label, rewrite and move — and no
-	// tile file left behind on either side (the fleet never wrote one).
+	// Same products byte for byte, and no tile file left behind on
+	// either side (neither transport's kernel writes one).
 	sameFiles(t, "fleet vs local outbox", dirFiles(t, fleetCfg.OutboxDir), dirFiles(t, localCfg.OutboxDir))
 	for name, cfg := range map[string]core.Config{"local": localCfg, "fleet": fleetCfg} {
 		if left := dirFiles(t, cfg.TileDir); len(left) != 0 {

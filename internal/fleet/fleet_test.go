@@ -396,98 +396,6 @@ func TestFleetStealExactlyOnce(t *testing.T) {
 	}
 }
 
-// recordingScaler captures hints.
-type recordingScaler struct {
-	mu     sync.Mutex
-	out    []int
-	retire [][]string
-}
-
-func (r *recordingScaler) ScaleOut(n int) {
-	r.mu.Lock()
-	r.out = append(r.out, n)
-	r.mu.Unlock()
-}
-
-func (r *recordingScaler) ScaleIn(ids []string) {
-	r.mu.Lock()
-	r.retire = append(r.retire, ids)
-	r.mu.Unlock()
-}
-
-// TestFleetScaleHints: backlog beyond capacity asks for scale-out;
-// long-idle workers are named for retirement exactly once.
-func TestFleetScaleHints(t *testing.T) {
-	clk := newFakeClock()
-	sc := &recordingScaler{}
-	block := make(chan struct{})
-	defer close(block)
-	c := NewCoordinator(Config{
-		HeartbeatTimeout: time.Hour,
-		StealAfter:       -1, // disabled
-		IdleRetireAfter:  30 * time.Second,
-		Scaler:           sc,
-		Clock:            clk.Now,
-		Transport: transportFunc(func(ctx context.Context, url, fn string, args map[string]any) (any, error) {
-			select {
-			case <-block:
-				return "ok", nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}),
-	})
-	defer c.Close()
-	if err := c.Register("w1", "http://w1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register("idle", "http://idle", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Load: 4 tasks over 2 slots -> both leased, 2 pending, 0 free.
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if _, err := c.Submit(ctx, "work", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Sweep()
-	sc.mu.Lock()
-	if len(sc.out) != 1 || sc.out[0] != 2 {
-		t.Fatalf("scale-out hints = %v, want [2]", sc.out)
-	}
-	sc.mu.Unlock()
-}
-
-// TestFleetIdleRetireHintOnce: an idle worker is named for retirement
-// on one sweep, not re-nagged every sweep.
-func TestFleetIdleRetireHintOnce(t *testing.T) {
-	clk := newFakeClock()
-	sc := &recordingScaler{}
-	c := NewCoordinator(Config{
-		HeartbeatTimeout: time.Hour,
-		IdleRetireAfter:  30 * time.Second,
-		Scaler:           sc,
-		Clock:            clk.Now,
-		Transport: transportFunc(func(ctx context.Context, url, fn string, args map[string]any) (any, error) {
-			return "ok", nil
-		}),
-	})
-	defer c.Close()
-	if err := c.Register("idle", "http://idle", 1); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(time.Minute)
-	c.Sweep()
-	c.Sweep()
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if len(sc.retire) != 1 || len(sc.retire[0]) != 1 || sc.retire[0][0] != "idle" {
-		t.Fatalf("retire hints = %v, want one hint naming idle", sc.retire)
-	}
-}
-
 // TestFleetSubmitAfterClose.
 func TestFleetSubmitAfterClose(t *testing.T) {
 	c := NewCoordinator(Config{

@@ -120,8 +120,9 @@ type KernelConfig struct {
 
 // Kernels hosts the worker-side granule kernel against shared
 // per-process state: one decode arena for tile extraction, a
-// model/codebook cache for inference (loaded once per pair, like
-// core.Engine's weights cache), a content-addressed download cache, and
+// model/codebook cache for inference (loaded once per pair; core.Engine
+// embeds one Kernels and uses this as its only weights cache), a
+// content-addressed download cache, and
 // a bounded memo of completed task results so requeued or stolen tasks
 // skip redone work.
 type Kernels struct {
@@ -382,8 +383,12 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	if a.OutboxDir == "" || a.Model == "" || a.Codebook == "" {
-		return nil, fmt.Errorf("fleet: granule task needs outbox_dir, model and codebook")
+	if a.OutboxDir == "" {
+		return nil, fmt.Errorf("fleet: granule task needs outbox_dir")
+	}
+	l, err := k.Labeler(a.Model, a.Codebook)
+	if err != nil {
+		return nil, err
 	}
 	prec, err := aicca.ParsePrecision(a.Precision)
 	if err != nil {
@@ -429,10 +434,6 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error)
 		k.results.Put(memoKey, out)
 		return out, nil // night granule or no ocean clouds
 	}
-	l, err := k.labelerFor(a.Model, a.Codebook)
-	if err != nil {
-		return nil, err
-	}
 	if l.Precision != prec {
 		// Shallow per-task override, same trick as aicca's BatchConfig:
 		// the shared model/codebook pointers stay cached.
@@ -459,13 +460,22 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error)
 	return out, nil
 }
 
-// labelerFor loads a labeler once per model/codebook pair.
-func (k *Kernels) labelerFor(model, codebook string) (*aicca.Labeler, error) {
+// Labeler returns the labeler for a model/codebook pair, loaded once and
+// then shared by every task (and every run of an embedding engine) that
+// names the pair. A pair with either half missing resolves to the
+// labeler UseLabeler seeded, and fails without one.
+func (k *Kernels) Labeler(model, codebook string) (*aicca.Labeler, error) {
+	if model == "" || codebook == "" {
+		model, codebook = "", ""
+	}
 	key := model + "|" + codebook
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if l, ok := k.models[key]; ok {
 		return l, nil
+	}
+	if key == "|" {
+		return nil, fmt.Errorf("fleet: no model and codebook named, and no labeler supplied")
 	}
 	m, err := ricc.Load(model)
 	if err != nil {
@@ -482,6 +492,20 @@ func (k *Kernels) labelerFor(model, codebook string) (*aicca.Labeler, error) {
 	k.models[key] = l
 	return l, nil
 }
+
+// UseLabeler serves l to tasks that name no model artifacts. Only a
+// process that embeds the kernels calls it (core's engine, with its
+// programmatic labeler); a worker built by NewWorker never does, so its
+// tasks must carry model refs.
+func (k *Kernels) UseLabeler(l *aicca.Labeler) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.models["|"] = l
+}
+
+// Arena returns the decode scratch arena tile extraction recycles, so an
+// embedding process can instrument it.
+func (k *Kernels) Arena() *tensor.ShardedArena { return k.arena }
 
 func parseSatellite(s string) (modis.Satellite, error) {
 	switch s {

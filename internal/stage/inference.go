@@ -46,9 +46,6 @@ type InferenceConfig struct {
 	Labeler *aicca.Labeler
 	// BatchTiles caps the cross-file encode batch.
 	BatchTiles int
-	// Deprecated: BatchDelay is ignored since PR 13; the batcher has no
-	// window to tune (see aicca.BatchConfig.MaxDelay).
-	BatchDelay time.Duration
 	// Precision, when non-empty, overrides the labeler's encode
 	// arithmetic for batches flushed through this service.
 	Precision aicca.Precision
@@ -56,8 +53,7 @@ type InferenceConfig struct {
 	WatchDir string
 	// Pattern filters watched file names; default "*.nc".
 	Pattern string
-	// PollInterval is the crawler's fallback scan period; producers that
-	// call Poke do not wait for it.
+	// PollInterval is the crawler's scan period.
 	PollInterval time.Duration
 	// Workers bounds the inference worker pool; default 1.
 	Workers int
@@ -87,33 +83,21 @@ func (c InferenceConfig) withDefaults() InferenceConfig {
 // InferenceService is the monitor & trigger + inference machinery of
 // the workflow as one reusable stage: a filesystem crawler feeding a
 // bounded worker pool that runs the label-and-move flow through a
-// cross-file encode batcher. Both the batch and the streaming driver
+// cross-file encode batcher, plus Published for files that reach the
+// outbox already labeled. Both the batch and the streaming driver
 // compose this same service.
 //
-// The path from a finished tile file to its labels is work-conserving:
-// the crawler is the one discovery and exactly-once path, but not the
-// clock — upstream calls Poke as each file lands and the crawler scans
-// then; WatchDir is declared rename-published (every tile writer goes
-// through netcdf.WriteFile's temp+rename), so the file triggers on that
-// first scan; and the batcher encodes at once when idle. Only a file
-// from a writer that cannot poke waits for the PollInterval tick.
+// A watched tile file triggers on the first scan that sees it (WatchDir
+// is declared rename-published: tile writers publish by temp+rename),
+// and the batcher encodes at once when idle, so the PollInterval tick
+// is the only wait on the label path.
 //
 // Lifecycle: Setup builds the batcher, flow engine, and crawler and
-// arms the background goroutines (so labeling overlaps preprocessing);
-// Poke tells the monitor a tile file just landed in WatchDir, so it
-// scans now instead of at the next tick. Non-blocking; safe from any
-// goroutine once Setup has run, a no-op before.
-func (s *InferenceService) Poke() {
-	if s.crawler != nil {
-		s.crawler.Poke()
-	}
-}
-
-// ExpectFiles tells the service how many tile files upstream produced;
-// Run blocks until that many flows completed (successfully or not) and
-// returns the join of all flow errors; Drain retires the crawler, pool,
-// and batcher gracefully; Close is the idempotent forced variant for
-// error paths.
+// arms the background goroutines; ExpectFiles tells the service how
+// many files upstream produced; Run blocks until that many flows
+// completed (successfully or not) and returns the join of all flow
+// errors; Drain retires the crawler, pool, and batcher gracefully; Close
+// is the idempotent forced variant for error paths.
 type InferenceService struct {
 	cfg InferenceConfig
 
@@ -289,8 +273,8 @@ func (s *InferenceService) settle(rc *RunContext, labeled int, at float64, err e
 	s.bump()
 }
 
-// Published counts a file that reached OutboxDir already labeled — a
-// fleet worker writes its granule's labeled NetCDF there directly — as
+// Published counts a file that reached OutboxDir already labeled — the
+// granule task writes its labeled NetCDF there directly — as
 // one completed file, exactly as if a flow had labeled and moved it:
 // ExpectFiles, the stall clock and the shipment gate see no difference,
 // and OnMoved fires with the labeling interval the producer reports.
