@@ -3,12 +3,13 @@
 #   make check      — what CI runs: gofmt gate + vet + eomlvet + race tests
 #                     + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
-#                     bench-diff + the granule benchmark's own tests and
-#                     one-second correctness runs of it (local and fleet)
+#                     the granule benchmark's own tests and one-second
+#                     correctness runs of it (local and fleet)
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
-#   make bench-diff — gate the committed bench records: fails on >10%
-#                     throughput regression $(BENCH_OLD) → $(BENCH_NEW)
+#   make bench-diff — compare the committed bench records: fails on >10%
+#                     throughput regression $(BENCH_OLD) → $(BENCH_NEW);
+#                     by hand only, it reruns nothing
 #   make bench-granule — the four-workload granule benchmark declared in
 #                     BENCHMARK.json (benchmarks/README.md), full length;
 #                     this is where performance claims are made
@@ -101,9 +102,9 @@ serve-smoke:
 fleet-smoke:
 	$(GO) test -race -run TestFleetSmoke -count 1 .
 
-# Regression gate over the committed records: deterministic in CI (no
-# benchmarks rerun), fails on >10% throughput regression between the two
-# most recent BENCH_N.json files. -require additionally fails if the
+# Comparison of the committed records: fails on >10% throughput
+# regression between the two most recent BENCH_N.json files. Not part of
+# check: it reruns no benchmark, so no code change can fail it. -require additionally fails if the
 # fleet scaling series stops being compared (rename/deletion).
 bench-diff:
 	$(GO) run ./cmd/benchdiff -require '$(BENCH_REQUIRE)' $(BENCH_OLD) $(BENCH_NEW)
@@ -136,4 +137,4 @@ bench-granule-smoke:
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-diff bench-granule-test bench-granule-smoke
+check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-granule-test bench-granule-smoke

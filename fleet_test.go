@@ -374,9 +374,9 @@ func BenchmarkFleetScaling(b *testing.B) {
 		return int64(rep.GranulesRequested)
 	}
 
-	// Headline strong/weak series: prefetch + batched leases on, cache
-	// off — directly comparable against the BENCH_9 series of the same
-	// names, which ran without prefetching or batching.
+	// Headline strong/weak series: prefetch on, cache off — directly
+	// comparable against the BENCH_9 series of the same names, which
+	// ran without prefetching.
 	for _, mode := range []string{"strong", "weak"} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			set := granules[:8] // strong: fixed work

@@ -316,71 +316,6 @@ func (e *Endpoint) Submit(function string, args map[string]any) (*Future, error)
 	}
 }
 
-// Spec names one task of a batch submission.
-type Spec struct {
-	Function string         `json:"function"`
-	Args     map[string]any `json:"args"`
-}
-
-// SubmitBatch enqueues many tasks in one call, all or nothing: every
-// function is resolved and every queue slot reserved before any task is
-// accepted, so a draining endpoint or a full queue rejects the whole
-// batch and the caller's lease accounting stays simple. This is the
-// endpoint half of the fleet's batched lease RPC — one round-trip
-// carries a worker's whole lease window instead of one task.
-func (e *Endpoint) SubmitBatch(specs []Spec) ([]*Future, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("compute: empty batch")
-	}
-	fns := make([]Function, len(specs))
-	for i, s := range specs {
-		fn, err := e.reg.Lookup(s.Function)
-		if err != nil {
-			return nil, fmt.Errorf("compute: batch task %d: %w", i, err)
-		}
-		fns[i] = fn
-	}
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("compute: endpoint %q: %w", e.ID, ErrDraining)
-	}
-	if !e.started {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("compute: endpoint %q is not running", e.ID)
-	}
-	if free := cap(e.queue) - len(e.queue); free < len(specs) {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("compute: endpoint %q queue full (%d free, batch of %d)", e.ID, free, len(specs))
-	}
-	futs := make([]*Future, len(specs))
-	for i, s := range specs {
-		e.nextID++
-		id := fmt.Sprintf("%s-task-%06d", e.ID, e.nextID)
-		fut := newFuture(id)
-		e.futures[id] = fut
-		futs[i] = fut
-		// The free-capacity check above ran under the same lock Stop and
-		// Submit take, so this send cannot block; the default arm only
-		// guards the invariant.
-		select {
-		case e.queue <- &queued{fn: fns[i], arg: s.Args, fut: fut}:
-		default:
-			delete(e.futures, id)
-			e.mu.Unlock()
-			return nil, fmt.Errorf("compute: endpoint %q queue full mid-batch (task %d of %d)", e.ID, i+1, len(specs))
-		}
-	}
-	hook := e.cfg.OnEnqueue
-	e.mu.Unlock()
-	if hook != nil {
-		for _, s := range specs {
-			hook(s.Function, s.Args)
-		}
-	}
-	return futs, nil
-}
-
 // Future looks up a previously submitted task by ID.
 func (e *Endpoint) Future(id string) (*Future, error) {
 	e.mu.Lock()
@@ -390,6 +325,14 @@ func (e *Endpoint) Future(id string) (*Future, error) {
 		return nil, fmt.Errorf("compute: no task %q", id)
 	}
 	return fut, nil
+}
+
+// forget drops a task from the lookup table once its outcome has been
+// delivered over HTTP.
+func (e *Endpoint) forget(id string) {
+	e.mu.Lock()
+	delete(e.futures, id)
+	e.mu.Unlock()
 }
 
 // Map submits one task per argument set and waits for all, returning

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -392,94 +393,11 @@ func TestSubmitStopRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSubmitBatchExecutesAll: a batch submit enqueues every task in one
-// call, results come back per-future, and the OnEnqueue hook sees each
-// accepted task exactly once.
-func TestSubmitBatchExecutesAll(t *testing.T) {
-	reg := registryWithMath(t)
-	var enq atomic.Int64
-	ep, err := NewEndpoint("dtn1", reg, EndpointConfig{
-		Workers:   2,
-		OnEnqueue: func(fn string, args map[string]any) { enq.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep.Start()
-	defer ep.Stop()
-
-	specs := make([]Spec, 5)
-	for i := range specs {
-		specs[i] = Spec{Function: "add", Args: map[string]any{"a": float64(i), "b": float64(1)}}
-	}
-	futs, err := ep.SubmitBatch(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(futs) != 5 {
-		t.Fatalf("futures = %d, want 5", len(futs))
-	}
-	for i, f := range futs {
-		v, err := f.Get(context.Background())
-		if err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-		if v.(float64) != float64(i+1) {
-			t.Fatalf("task %d = %v, want %d", i, v, i+1)
-		}
-	}
-	if enq.Load() != 5 {
-		t.Fatalf("OnEnqueue saw %d tasks, want 5", enq.Load())
-	}
-}
-
-// TestSubmitBatchAllOrNothing: one unknown function rejects the whole
-// batch with nothing enqueued, and a draining endpoint rejects with the
-// typed error.
-func TestSubmitBatchAllOrNothing(t *testing.T) {
-	reg := registryWithMath(t)
-	ep, _ := NewEndpoint("dtn1", reg, EndpointConfig{Workers: 1})
-	ep.Start()
-	_, err := ep.SubmitBatch([]Spec{
-		{Function: "add", Args: map[string]any{"a": float64(1), "b": float64(1)}},
-		{Function: "no-such-fn"},
-	})
-	if err == nil {
-		t.Fatal("batch with unknown function accepted")
-	}
-	ep.mu.Lock()
-	if len(ep.futures) != 0 {
-		ep.mu.Unlock()
-		t.Fatalf("rejected batch left %d futures behind", len(ep.futures))
-	}
-	ep.mu.Unlock()
-	ep.Stop()
-	_, err = ep.SubmitBatch([]Spec{{Function: "add"}})
-	if !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-Stop batch error = %v, want ErrDraining", err)
-	}
-}
-
-// TestSubmitBatchQueueCapacity: a batch larger than the queue's free
-// space is rejected whole.
-func TestSubmitBatchQueueCapacity(t *testing.T) {
-	reg := registryWithMath(t)
-	ep, _ := NewEndpoint("dtn1", reg, EndpointConfig{Workers: 1, QueueDepth: 2})
-	ep.Start()
-	defer ep.Stop()
-	specs := make([]Spec, 8)
-	for i := range specs {
-		specs[i] = Spec{Function: "sleep", Args: map[string]any{"ms": float64(1)}}
-	}
-	if _, err := ep.SubmitBatch(specs); err == nil {
-		t.Fatal("batch beyond queue capacity accepted")
-	}
-}
-
-// TestHTTPBatchRoundTrip drives the two batch verbs over a real
-// listener: one submit_batch round-trip in, one tasks/poll round-trip
-// out with every result.
-func TestHTTPBatchRoundTrip(t *testing.T) {
+// TestEndpointForgetsDeliveredTasks: once GET /tasks/{id} has answered
+// with a settled state the endpoint drops the task, so a long-lived
+// worker holds no results it already delivered, and a re-poll of that
+// ID is a 404.
+func TestEndpointForgetsDeliveredTasks(t *testing.T) {
 	reg := registryWithMath(t)
 	ep, _ := NewEndpoint("dtn1", reg, EndpointConfig{Workers: 2})
 	ep.Start()
@@ -488,51 +406,41 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	remote := NewRemoteEndpoint(srv.URL)
-	specs := []Spec{
-		{Function: "add", Args: map[string]any{"a": float64(20), "b": float64(22)}},
-		{Function: "boom"},
-		{Function: "add", Args: map[string]any{"a": float64(1), "b": float64(2)}},
-	}
-	futs, err := remote.SubmitBatch(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, len(futs))
-	for i, f := range futs {
-		ids[i] = f.TaskID
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sts, err := remote.PollBatch(context.Background(), ids)
+	remote.PollInterval = time.Millisecond
+	ctx := context.Background()
+	var ids []string
+	for i := 0; i < 8; i++ {
+		fn := "add"
+		if i%4 == 3 {
+			fn = "boom" // errored tasks are forgotten too
+		}
+		fut, err := remote.Submit(ctx, fn, map[string]any{"a": float64(i), "b": float64(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sts) != 3 {
-			t.Fatalf("poll returned %d tasks, want 3", len(sts))
+		v, err := fut.Get(ctx)
+		if fn == "add" && (err != nil || v.(float64) != float64(i+1)) {
+			t.Fatalf("task %d = %v, %v", i, v, err)
 		}
-		settled := 0
-		for _, st := range sts {
-			if st.State == Completed || st.State == Errored {
-				settled++
-			}
+		if fn == "boom" && err == nil {
+			t.Fatalf("task %d: boom succeeded", i)
 		}
-		if settled == 3 {
-			if sts[0].Result.(float64) != 42 || sts[2].Result.(float64) != 3 {
-				t.Fatalf("results = %v / %v", sts[0].Result, sts[2].Result)
-			}
-			if sts[1].State != Errored || sts[1].Error == "" {
-				t.Fatalf("boom task state = %+v, want errored", sts[1])
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch never settled: %+v", sts)
-		}
-		time.Sleep(2 * time.Millisecond)
+		ids = append(ids, fut.TaskID)
 	}
-
-	// Unknown IDs fail the whole poll, like GET /tasks/{id}.
-	if _, err := remote.PollBatch(context.Background(), []string{"ghost"}); err == nil {
-		t.Fatal("poll of unknown id succeeded")
+	ep.mu.Lock()
+	held := len(ep.futures)
+	ep.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("endpoint still holds %d delivered tasks", held)
+	}
+	for _, id := range ids {
+		resp, err := http.Get(srv.URL + "/tasks/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("re-poll of %s = %s, want 404", id, resp.Status)
+		}
 	}
 }

@@ -16,16 +16,14 @@ import (
 // another machine, as Globus Compute does through its cloud service. The
 // wire protocol is deliberately small:
 //
-//	POST /submit            {"function": "...", "args": {...}} -> {"task_id": "..."}
-//	POST /submit_batch      {"tasks": [{"function","args"}...]} -> {"task_ids": [...]}
-//	GET  /tasks/{id}        -> {"task_id", "state", "result"?, "error"?}
-//	POST /tasks/poll        {"ids": [...]} -> {"tasks": [{"task_id","state",...}...]}
-//	GET  /status            -> {"endpoint", "active_workers", "functions": [...]}
+//	POST /submit     {"function": "...", "args": {...}} -> {"task_id": "..."}
+//	GET  /tasks/{id} -> {"task_id", "state", "result"?, "error"?}
+//	GET  /status     -> {"endpoint", "active_workers", "functions": [...]}
 //
-// The two batch verbs exist for the fleet hot path: one round-trip
-// carries a worker's whole lease window in, and one poll round-trip
-// carries every finished result of that window out, instead of paying
-// per-task HTTP overhead on small-granule workloads.
+// A task is one submit and a poll loop. The endpoint forgets a task once
+// GET /tasks/{id} has answered with its settled state, so a result is
+// delivered once and a long-lived endpoint holds only unfinished tasks;
+// a later poll of that ID gets 404.
 
 type submitRequest struct {
 	Function string         `json:"function"`
@@ -47,22 +45,6 @@ type statusResponse struct {
 	Endpoint      string   `json:"endpoint"`
 	ActiveWorkers int      `json:"active_workers"`
 	Functions     []string `json:"functions"`
-}
-
-type submitBatchRequest struct {
-	Tasks []Spec `json:"tasks"`
-}
-
-type submitBatchResponse struct {
-	TaskIDs []string `json:"task_ids"`
-}
-
-type pollBatchRequest struct {
-	IDs []string `json:"ids"`
-}
-
-type pollBatchResponse struct {
-	Tasks []taskResponse `json:"tasks"`
 }
 
 // Handler exposes the endpoint over HTTP.
@@ -92,64 +74,6 @@ func (e *Endpoint) Handler() http.Handler {
 		}
 		writeJSON(w, submitResponse{TaskID: fut.ID})
 	})
-	mux.HandleFunc("/submit_batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var req submitBatchRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		futs, err := e.SubmitBatch(req.Tasks)
-		if err != nil {
-			if errors.Is(err, ErrDraining) {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		ids := make([]string, len(futs))
-		for i, f := range futs {
-			ids[i] = f.ID
-		}
-		writeJSON(w, submitBatchResponse{TaskIDs: ids})
-	})
-	mux.HandleFunc("/tasks/poll", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var req pollBatchRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		out := pollBatchResponse{Tasks: make([]taskResponse, 0, len(req.IDs))}
-		for _, id := range req.IDs {
-			fut, err := e.Future(id)
-			if err != nil {
-				// Unknown IDs fail the whole poll, matching GET /tasks/{id}:
-				// the caller's batch state is stale (endpoint restarted) and
-				// partial answers would mask it.
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			tr := taskResponse{TaskID: fut.ID, State: fut.State()}
-			if tr.State == Completed || tr.State == Errored {
-				result, err := fut.Get(r.Context())
-				if err != nil {
-					tr.Error = err.Error()
-				} else {
-					tr.Result = result
-				}
-			}
-			out.Tasks = append(out.Tasks, tr)
-		}
-		writeJSON(w, out)
-	})
 	mux.HandleFunc("/tasks/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/tasks/")
 		fut, err := e.Future(id)
@@ -165,6 +89,9 @@ func (e *Endpoint) Handler() http.Handler {
 			} else {
 				resp.Result = result
 			}
+			// This answer delivers the outcome; holding the task any longer
+			// would keep every result the endpoint ever produced.
+			e.forget(id)
 		}
 		writeJSON(w, resp)
 	})
@@ -235,87 +162,6 @@ func (r *RemoteEndpoint) Submit(ctx context.Context, function string, args map[s
 		return nil, err
 	}
 	return &RemoteFuture{TaskID: sr.TaskID, ep: r}, nil
-}
-
-// SubmitBatch sends the whole batch in one round-trip and returns one
-// pollable handle per task, in batch order. The endpoint accepts all or
-// nothing; a draining endpoint surfaces as ErrDraining exactly like the
-// single-task path.
-func (r *RemoteEndpoint) SubmitBatch(ctx context.Context, specs []Spec) ([]*RemoteFuture, error) {
-	body, err := json.Marshal(submitBatchRequest{Tasks: specs})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.BaseURL+"/submit_batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return nil, fmt.Errorf("compute: submit_batch: %s: %w", strings.TrimSpace(string(msg)), ErrDraining)
-		}
-		return nil, fmt.Errorf("compute: submit_batch: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var sr submitBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, err
-	}
-	if len(sr.TaskIDs) != len(specs) {
-		return nil, fmt.Errorf("compute: submit_batch returned %d ids for %d tasks", len(sr.TaskIDs), len(specs))
-	}
-	futs := make([]*RemoteFuture, len(sr.TaskIDs))
-	for i, id := range sr.TaskIDs {
-		futs[i] = &RemoteFuture{TaskID: id, ep: r}
-	}
-	return futs, nil
-}
-
-// TaskStatus is one task's state as reported by a batch poll.
-type TaskStatus struct {
-	TaskID string
-	State  TaskState
-	Result any
-	Error  string
-}
-
-// PollBatch fetches the state of many tasks in one round-trip — the
-// batched result collection of the fleet protocol. Results come back in
-// request order.
-func (r *RemoteEndpoint) PollBatch(ctx context.Context, ids []string) ([]TaskStatus, error) {
-	body, err := json.Marshal(pollBatchRequest{IDs: ids})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.BaseURL+"/tasks/poll", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("compute: poll batch: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var pr pollBatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, err
-	}
-	out := make([]TaskStatus, len(pr.Tasks))
-	for i, tr := range pr.Tasks {
-		out[i] = TaskStatus{TaskID: tr.TaskID, State: tr.State, Result: tr.Result, Error: tr.Error}
-	}
-	return out, nil
 }
 
 // Poll fetches the task state once.

@@ -1,16 +1,17 @@
 // Package fleet is the real multi-process distribution layer: a
 // coordinator that leases granule tasks (fetch, tile, label, publish:
 // one lease per granule) to a pool of worker processes
-// (cmd/eoml-worker) over the compute fabric's HTTP transport. Workers register their endpoint URL with the coordinator,
-// send heartbeats, and execute tasks that ship granule *references* —
-// paths on shared storage plus archive credentials for workers without
-// one — never granule bytes. The coordinator provides what the paper's
-// multi-facility setting demands of a scheduler: per-worker in-flight
-// bounds, lease + requeue when a worker's heartbeats stop, speculative
-// work stealing from stragglers (safe because the kernel writes its
-// output atomically and deterministically, so a duplicated task is
-// idempotent). NewInProcess builds the degenerate fleet: one worker that
-// is the calling process itself, reached by direct call.
+// (cmd/eoml-worker) over the compute fabric's HTTP transport. Workers
+// register their endpoint URL with the coordinator, send heartbeats, and
+// execute tasks that ship granule *references* — paths on shared storage
+// plus archive credentials for workers without one — never granule
+// bytes. The coordinator provides what the paper's multi-facility
+// setting demands of a scheduler: per-worker in-flight bounds, lease +
+// requeue when a worker's heartbeats stop, speculative work stealing
+// from stragglers (safe because the kernel writes its output atomically
+// and deterministically, so a duplicated task is idempotent).
+// NewInProcess builds the degenerate fleet: one worker that is the
+// calling process itself, reached by direct call.
 package fleet
 
 import (
@@ -33,33 +34,6 @@ import (
 // the lease.
 type Transport interface {
 	Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error)
-}
-
-// TaskSpec names one task of a batched lease.
-type TaskSpec struct {
-	Function string
-	Args     map[string]any
-}
-
-// TaskResult is one task's outcome within a batched lease: Err nil on
-// success, a *TaskError when the task function itself failed, anything
-// else a per-task transport failure.
-type TaskResult struct {
-	Result any
-	Err    error
-}
-
-// BatchTransport executes a whole lease batch on one worker endpoint —
-// one submit round-trip carrying every task, one poll stream collecting
-// every result — and blocks until all of them settle. The returned
-// slice matches specs by index. A non-nil error is a batch-level
-// transport failure (worker unreachable, endpoint draining): no
-// per-task outcomes are known and the coordinator requeues every lease.
-// Transports that also implement this interface get batched dispatch;
-// plain Transports fall back to one Run call per task.
-type BatchTransport interface {
-	Transport
-	RunBatch(ctx context.Context, workerURL string, specs []TaskSpec) ([]TaskResult, error)
 }
 
 // TaskError marks a failure reported by the task function itself, as
@@ -86,10 +60,6 @@ type Config struct {
 	// atomically and deterministically, so duplication is safe.
 	// 0 means the default 10s; negative disables stealing.
 	StealAfter time.Duration
-	// LeaseBatch caps how many pending tasks one dispatch leases to a
-	// worker in a single transport round-trip (when the Transport also
-	// implements BatchTransport). Default 8; 1 disables batching.
-	LeaseBatch int
 	// Transport executes tasks on workers; default is the compute HTTP
 	// transport.
 	Transport Transport
@@ -109,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StealAfter == 0 {
 		c.StealAfter = 10 * time.Second
-	}
-	if c.LeaseBatch <= 0 {
-		c.LeaseBatch = 8
 	}
 	if c.Transport == nil {
 		c.Transport = NewHTTPTransport()
@@ -225,12 +192,6 @@ type Coordinator struct {
 	requeued  atomic.Int64
 	stolen    atomic.Int64
 	evicted   atomic.Int64
-
-	// Batch-size histograms, non-nil once Instrument runs. Written via
-	// atomic pointer loads because dispatch runs concurrently with
-	// Instrument in tests.
-	leaseBatchHist  atomic.Pointer[metrics.Histogram]
-	resultBatchHist atomic.Pointer[metrics.Histogram]
 }
 
 // NewCoordinator builds a coordinator.
@@ -282,11 +243,6 @@ func (c *Coordinator) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("eoml_fleet_workers_evicted_total",
 		"Workers evicted after missing their heartbeat budget or failing a transport call.",
 		func() float64 { return float64(c.evicted.Load()) })
-	sizeBuckets := []float64{1, 2, 4, 8, 16, 32}
-	c.leaseBatchHist.Store(reg.Histogram("eoml_fleet_lease_batch_size",
-		"Tasks leased to one worker per batched dispatch round-trip.", sizeBuckets))
-	c.resultBatchHist.Store(reg.Histogram("eoml_fleet_result_batch_size",
-		"Task results collected from one worker per batched poll round-trip.", sizeBuckets))
 }
 
 // Register adds a worker (or refreshes its URL/capacity) and counts as
@@ -509,64 +465,27 @@ func (c *Coordinator) completeLocked(t *task, result any, err error) {
 	t.fut.complete(result, err)
 }
 
-// dispatchLocked assigns pending tasks to the least-loaded workers
-// with free capacity. When the transport supports batching, one
-// round-trip carries up to LeaseBatch tasks (bounded by the worker's
-// free capacity) instead of one — the RPC-overhead collapse that
-// matters for small-granule workloads.
+// dispatchLocked leases pending tasks, one per free slot, to the
+// least-loaded workers. Each lease is one Transport.Run, and each
+// completion calls back here, so a slot is refilled the moment its task
+// settles.
 func (c *Coordinator) dispatchLocked() {
 	now := c.cfg.Clock()
-	bt, batching := c.cfg.Transport.(BatchTransport)
 	for len(c.pending) > 0 {
 		w := c.pickWorkerLocked(nil)
 		if w == nil {
 			return
 		}
-		limit := 1
-		if batching {
-			limit = c.cfg.LeaseBatch
-			if free := w.capacity - w.inflight; free < limit {
-				limit = free
-			}
-			// Fair-share bound: a backlog shallower than the fleet's free
-			// capacity must spread across workers, not pile onto the first
-			// pick — otherwise a full-batch lease serializes a small run on
-			// one worker and strong scaling collapses. Deep backlogs still
-			// lease whole batches.
-			freeWorkers := 0
-			for _, o := range c.workers {
-				if o.inflight < o.capacity {
-					freeWorkers++
-				}
-			}
-			if fair := (len(c.pending) + freeWorkers - 1) / freeWorkers; fair < limit {
-				limit = fair
-			}
+		t := c.pending[0]
+		c.pending = c.pending[1:]
+		switch {
+		case t.done:
+			// Requeued, then settled by a revoked lease's late success.
+		case t.ctx.Err() != nil:
+			c.completeLocked(t, nil, t.ctx.Err())
+		default:
+			c.leaseLocked(t, w, now)
 		}
-		var batch []*task
-		for len(c.pending) > 0 && len(batch) < limit {
-			t := c.pending[0]
-			c.pending = c.pending[1:]
-			if t.done {
-				continue
-			}
-			if t.ctx.Err() != nil {
-				c.completeLocked(t, nil, t.ctx.Err())
-				continue
-			}
-			batch = append(batch, t)
-		}
-		if len(batch) == 0 {
-			return
-		}
-		if h := c.leaseBatchHist.Load(); h != nil {
-			h.Observe(float64(len(batch)))
-		}
-		if batching && len(batch) > 1 {
-			c.leaseBatchLocked(batch, w, now, bt)
-			continue
-		}
-		c.leaseLocked(batch[0], w, now)
 	}
 }
 
@@ -640,92 +559,6 @@ func (c *Coordinator) execute(t *task, w *worker) {
 		if !errors.Is(err, compute.ErrDraining) {
 			c.evictLocked(w.id, err)
 		}
-	}
-	c.dispatchLocked()
-	c.mu.Unlock()
-}
-
-// leaseBatchLocked records one lease per batch task and launches the
-// shared executeBatch goroutine.
-func (c *Coordinator) leaseBatchLocked(ts []*task, w *worker, now time.Time, bt BatchTransport) {
-	for _, t := range ts {
-		t.attempts++
-		t.leasedAt = now
-		if t.assigned == nil {
-			t.assigned = map[string]bool{}
-		}
-		t.assigned[w.id] = true
-		c.leased[t.id] = t
-	}
-	w.inflight += len(ts)
-	c.wg.Add(1)
-	go c.executeBatch(ts, w, bt)
-}
-
-// executeBatch runs one lease batch to completion on the worker and
-// folds every task's outcome back into the coordinator state — the
-// batched mirror of execute, with the same per-task case order. The
-// batch runs under the coordinator's base context rather than any one
-// task's: canceling a single submitter context cannot abort a shared
-// round-trip, so a canceled task's lease is settled at fold time
-// instead (success still wins; otherwise the cancellation is
-// delivered).
-func (c *Coordinator) executeBatch(ts []*task, w *worker, bt BatchTransport) {
-	defer c.wg.Done()
-	specs := make([]TaskSpec, len(ts))
-	for i, t := range ts {
-		specs[i] = TaskSpec{Function: t.fn, Args: t.args}
-	}
-	results, err := bt.RunBatch(c.base, w.url, specs)
-	if err == nil && len(results) != len(ts) {
-		err = fmt.Errorf("fleet: batch transport returned %d results for %d tasks", len(results), len(ts))
-	}
-
-	c.mu.Lock()
-	w.inflight -= len(ts)
-	if err == nil {
-		if h := c.resultBatchHist.Load(); h != nil {
-			h.Observe(float64(len(results)))
-		}
-	}
-	var evictCause error
-	for i, t := range ts {
-		mine := t.assigned[w.id]
-		delete(t.assigned, w.id)
-		if len(t.assigned) == 0 {
-			delete(c.leased, t.id)
-		}
-		var r TaskResult
-		if err != nil {
-			r = TaskResult{Err: err}
-		} else {
-			r = results[i]
-		}
-		var taskErr *TaskError
-		switch {
-		case t.done:
-			// A duplicate (steal loser) or post-eviction zombie: discard.
-		case r.Err == nil:
-			// Success always wins, even from a revoked lease.
-			c.completeLocked(t, r.Result, nil)
-		case !mine:
-			// Lease revoked by eviction, which already requeued the task.
-		case t.ctx.Err() != nil:
-			c.completeLocked(t, nil, t.ctx.Err())
-		case errors.As(r.Err, &taskErr):
-			c.completeLocked(t, nil, r.Err)
-		default:
-			c.requeueLocked(t, r.Err)
-			if !errors.Is(r.Err, compute.ErrDraining) {
-				evictCause = r.Err
-			}
-		}
-	}
-	if evictCause != nil {
-		// Same judgment as execute: a non-drain transport failure means
-		// the worker process is likely dead. Evicted after the fold so
-		// every batch member settles exactly once.
-		c.evictLocked(w.id, evictCause)
 	}
 	c.dispatchLocked()
 	c.mu.Unlock()

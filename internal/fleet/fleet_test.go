@@ -510,3 +510,143 @@ func TestFleetStealRaceHammer(t *testing.T) {
 		t.Fatalf("completed = %d, want %d (exactly-once delivery)", got, tasks)
 	}
 }
+
+// TestStolenTaskCacheHitExactlyOnce pins the satellite scenario from
+// the worker's result memo: the primary lease blocks, the coordinator
+// steals the task, the thief computes and memoizes, and when the
+// blocked primary finally runs it lands a cache hit — the duplicate
+// result must be discarded, not delivered twice, and nothing may
+// recompute.
+func TestStolenTaskCacheHitExactlyOnce(t *testing.T) {
+	clock := newFakeClock()
+	rc := NewResultCache(0)
+	var computes int64
+	var mu sync.Mutex
+	gate := make(chan struct{})
+	primaryIn := make(chan struct{})
+	tr := transportFunc(func(_ context.Context, url, _ string, args map[string]any) (any, error) {
+		if url == "http://w1" {
+			close(primaryIn)
+			<-gate // hold the primary lease so the steal fires first
+		}
+		if v, ok := rc.Get("granule-A"); ok {
+			return v, nil
+		}
+		mu.Lock()
+		computes++
+		mu.Unlock()
+		rc.Put("granule-A", 42)
+		return 42, nil
+	})
+	c := NewCoordinator(Config{
+		HeartbeatTimeout: time.Hour,
+		StealAfter:       time.Millisecond,
+		Transport:        tr,
+		Clock:            clock.Now,
+	})
+	defer c.Close()
+	if err := c.Register("w1", "http://w1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register("w2", "http://w2", 1); err != nil {
+		t.Fatal(err)
+	}
+	fut, err := c.Submit(context.Background(), "preprocess", map[string]any{"g": "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-primaryIn
+	clock.Advance(time.Second)
+	c.Sweep() // steal the stale lease onto w2
+
+	v, err := fut.Get(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 42 {
+		t.Fatalf("result = %v, want 42", v)
+	}
+	close(gate) // release the primary; its cache-hit duplicate must be discarded
+	c.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if computes != 1 {
+		t.Fatalf("kernel computed %d times, want 1 (thief only)", computes)
+	}
+	hits, _, _ := rc.Stats()
+	if hits != 1 {
+		t.Fatalf("result cache hits = %d, want 1 (the released primary)", hits)
+	}
+	if got := c.completed.Load(); got != 1 {
+		t.Fatalf("completed = %d, want exactly once", got)
+	}
+}
+
+// TestFleetStealCacheHammer is the steal hammer with a memoizing
+// transport: aggressive stealing, concurrent sweeps, and a shared result
+// cache standing in for the workers' memo. Every task must deliver its
+// own result exactly once no matter how many duplicate leases hit the
+// cache.
+func TestFleetStealCacheHammer(t *testing.T) {
+	const tasks = 120
+	rc := NewResultCache(0)
+	c := NewCoordinator(Config{
+		HeartbeatTimeout: time.Hour,
+		StealAfter:       time.Nanosecond, // everything outstanding is stealable
+		Transport: transportFunc(func(_ context.Context, _, _ string, args map[string]any) (any, error) {
+			n := args["n"].(int)
+			key := fmt.Sprintf("task-%d", n)
+			if v, ok := rc.Get(key); ok {
+				return v, nil
+			}
+			rc.Put(key, n)
+			return n, nil
+		}),
+	})
+	for i := 0; i < 4; i++ {
+		if err := c.Register(fmt.Sprintf("w%d", i), fmt.Sprintf("http://w%d", i), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	stopSweeps := make(chan struct{})
+	for s := 0; s < 3; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stopSweeps:
+					return
+				default:
+					c.Sweep()
+				}
+			}
+		}()
+	}
+	futs := make([]*Future, tasks)
+	for i := 0; i < tasks; i++ {
+		fut, err := c.Submit(ctx, "work", map[string]any{"n": i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = fut
+	}
+	for i, fut := range futs {
+		v, err := fut.Get(ctx)
+		if err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+		if v != i {
+			t.Fatalf("task %d returned %v (cross-task result mixup)", i, v)
+		}
+	}
+	close(stopSweeps)
+	wg.Wait()
+	c.Close()
+	if got := c.completed.Load(); got != tasks {
+		t.Fatalf("completed = %d, want %d (exactly once each)", got, tasks)
+	}
+}

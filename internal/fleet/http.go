@@ -23,10 +23,8 @@ import (
 //	GET  /fleet/workers    -> {"workers": [...]}
 //
 // Task execution itself rides the compute protocol served by each
-// worker's own endpoint: POST /submit + GET /tasks/{id} for single
-// leases, POST /submit_batch + POST /tasks/poll for batched leases —
-// one round-trip carrying a whole lease window and one poll per
-// interval collecting every outstanding result.
+// worker's own endpoint: one POST /submit per lease, then GET
+// /tasks/{id} until the task settles.
 
 type registerRequest struct {
 	ID       string `json:"id"`
@@ -228,7 +226,8 @@ func NewHTTPTransport() *HTTPTransport {
 	return &HTTPTransport{PollInterval: 5 * time.Millisecond}
 }
 
-func (t *HTTPTransport) remote(workerURL string) *compute.RemoteEndpoint {
+// Run implements Transport.
+func (t *HTTPTransport) Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error) {
 	remote := compute.NewRemoteEndpoint(workerURL)
 	if t.HTTP != nil {
 		remote.HTTP = t.HTTP
@@ -236,12 +235,6 @@ func (t *HTTPTransport) remote(workerURL string) *compute.RemoteEndpoint {
 	if t.PollInterval > 0 {
 		remote.PollInterval = t.PollInterval
 	}
-	return remote
-}
-
-// Run implements Transport.
-func (t *HTTPTransport) Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error) {
-	remote := t.remote(workerURL)
 	fut, err := remote.Submit(ctx, function, args)
 	if err != nil {
 		return nil, err // transport failure (includes ErrDraining): requeue-able
@@ -264,60 +257,4 @@ func (t *HTTPTransport) Run(ctx context.Context, workerURL, function string, arg
 		case <-time.After(interval):
 		}
 	}
-}
-
-// RunBatch implements BatchTransport: one POST /submit_batch carries
-// the whole lease, then one POST /tasks/poll per poll interval collects
-// every still-running task's state — per-task HTTP overhead becomes
-// per-batch. Results are folded as they settle; the call returns when
-// the last task does.
-func (t *HTTPTransport) RunBatch(ctx context.Context, workerURL string, specs []TaskSpec) ([]TaskResult, error) {
-	remote := t.remote(workerURL)
-	cspecs := make([]compute.Spec, len(specs))
-	for i, s := range specs {
-		cspecs[i] = compute.Spec{Function: s.Function, Args: s.Args}
-	}
-	futs, err := remote.SubmitBatch(ctx, cspecs)
-	if err != nil {
-		return nil, err // batch-level transport failure: requeue all
-	}
-	index := make(map[string]int, len(futs))
-	pending := make([]string, len(futs))
-	for i, f := range futs {
-		index[f.TaskID] = i
-		pending[i] = f.TaskID
-	}
-	out := make([]TaskResult, len(specs))
-	interval := remote.PollInterval
-	for len(pending) > 0 {
-		statuses, err := remote.PollBatch(ctx, pending)
-		if err != nil {
-			return nil, err // poll failure loses the whole batch: requeue all
-		}
-		next := pending[:0]
-		for _, st := range statuses {
-			i, ok := index[st.TaskID]
-			if !ok {
-				continue
-			}
-			switch st.State {
-			case compute.Completed:
-				out[i] = TaskResult{Result: st.Result}
-			case compute.Errored:
-				out[i] = TaskResult{Err: &TaskError{Msg: st.Error}}
-			default:
-				next = append(next, st.TaskID)
-			}
-		}
-		pending = next
-		if len(pending) == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
-	return out, nil
 }

@@ -9,8 +9,7 @@ import (
 
 // inProcess is the Transport of a fleet whose one worker is the calling
 // process: Run calls the registered task function directly, with no HTTP
-// hop and no result polling. It does not implement BatchTransport —
-// lease batching amortises round trips, and a direct call makes none.
+// hop and no result polling.
 type inProcess struct{ reg *compute.Registry }
 
 // Run reports every failure, panics included, as a *TaskError, exactly

@@ -250,3 +250,72 @@ func TestWorkerDrainRejectsNewTasks(t *testing.T) {
 		t.Fatalf("submit to %s after Stop succeeded", url)
 	}
 }
+
+// TestWorkerJoinsBacklogSlotsFreePerTask: a worker registers while a
+// backlog is waiting, and the first task it takes blocks. Every other
+// task must still resolve while the slow one runs: each lease holds one
+// slot and delivers its own result, so a slot that finishes takes the
+// next pending task at once instead of waiting for its neighbours.
+func TestWorkerJoinsBacklogSlotsFreePerTask(t *testing.T) {
+	c, srv := newTestControlPlane(t, Config{HeartbeatTimeout: time.Hour})
+	release := make(chan struct{})
+	var once sync.Once
+	releaseSlow := func() { once.Do(func() { close(release) }) }
+	w, err := NewWorker(WorkerConfig{
+		ID:             "joiner",
+		CoordinatorURL: srv.URL,
+		Slots:          3,
+		Register: func(reg *compute.Registry) error {
+			if err := reg.Register("test.slow", func(ctx context.Context, _ map[string]any) (any, error) {
+				<-release
+				return "slow", nil
+			}); err != nil {
+				return err
+			}
+			return reg.Register("test.fast", func(ctx context.Context, args map[string]any) (any, error) {
+				return args["n"], nil
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	slow, err := c.Submit(ctx, "test.slow", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := make([]*Future, 6) // twice the worker's capacity
+	for i := range fast {
+		if fast[i], err = c.Submit(ctx, "test.fast", map[string]any{"n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	defer releaseSlow() // runs first: Stop drains the endpoint's pool
+
+	wait, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	for i, f := range fast {
+		v, err := f.Get(wait)
+		if err != nil {
+			t.Fatalf("fast task %d unresolved while the slow task runs: %v", i, err)
+		}
+		if v.(float64) != float64(i) { // JSON hop
+			t.Fatalf("fast task %d = %v", i, v)
+		}
+	}
+	select {
+	case <-slow.Done():
+		t.Fatal("slow task resolved before it was released")
+	default:
+	}
+	releaseSlow()
+	if v, err := slow.Get(wait); err != nil || v != "slow" {
+		t.Fatalf("slow task = %v, %v", v, err)
+	}
+}
