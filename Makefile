@@ -4,7 +4,8 @@
 #                     + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
 #                     the granule benchmark's own tests and one-second
-#                     correctness runs of it (local and fleet)
+#                     correctness runs of it (local, stream, cold and
+#                     warm fleet)
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
 #   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
 #   make bench-diff — compare the committed bench records: fails on >10%
@@ -124,13 +125,16 @@ bench-granule-test:
 
 # Correctness gate only: one second of campaign_local still runs ten
 # campaigns and checks every shipped label against the reference, one
-# second of stream_local does the same through the streaming driver, and
-# one second of campaign_fleet_warm does it through worker processes over
-# HTTP and fails on any archive request from warm caches; the numbers
-# they print are too short to mean anything.
+# second of stream_local does the same through the streaming driver, one
+# second of campaign_fleet_cold does it through fleet workers fetching
+# ahead of their compute slot from a shaped archive, and one second of
+# campaign_fleet_warm does it through the same workers over HTTP and
+# fails on any archive request from warm caches; the numbers they print
+# are too short to mean anything.
 bench-granule-smoke:
 	bash benchmarks/run.sh --workload campaign_local --seconds 1
 	bash benchmarks/run.sh --workload stream_local --seconds 1
+	bash benchmarks/run.sh --workload campaign_fleet_cold --seconds 1
 	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1
 
 # Every figure/table/ablation benchmark in the repo.

@@ -12,8 +12,9 @@
 //	eoml-worker -coordinator http://localhost:8080 \
 //	    -prefetch 4 -cache-dir /var/cache/eoml -cache-max-bytes 1073741824
 //
-// -prefetch overlaps archive fetch with compute (granule N+1..N+k
-// stream in while N runs), and -cache-dir keeps fetched granules in a
+// -prefetch leases that many granules beyond -slots: they fetch from
+// the archive while every compute slot is busy (a fetch needs no slot),
+// and -cache-dir keeps fetched granules in a
 // content-addressed on-disk cache so re-leases and repeat runs hit disk
 // instead of the archive.
 //
@@ -39,9 +40,9 @@ func main() {
 	coordinator := flag.String("coordinator", "http://localhost:8080", "control-plane base URL hosting the /fleet/ membership API")
 	listen := flag.String("listen", "127.0.0.1:0", "task endpoint listen address (0 = OS-assigned port)")
 	advertise := flag.String("advertise", "", "endpoint URL to register instead of the listen address (NAT / multi-facility)")
-	slots := flag.Int("slots", 1, "tasks this worker executes concurrently")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-task execution bound (0 = none)")
-	prefetch := flag.Int("prefetch", 2, "granules fetched ahead of a free compute slot (0 = off); extends registered capacity by the same amount")
+	slots := flag.Int("slots", 1, "granule tasks computing (decode, tile, label, write) at once")
+	taskTimeout := flag.Duration("task-timeout", 0, "per-task execution bound, including the wait for a compute slot (0 = none)")
+	prefetch := flag.Int("prefetch", 2, "granule leases beyond -slots, fetching ahead of a free compute slot (0 = none); extends registered capacity by the same amount")
 	cacheDir := flag.String("cache-dir", "", "content-addressed download cache directory (empty = caching off)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "download cache size bound in bytes (0 = unbounded)")
 	archiveRPS := flag.Float64("archive-rps", 0, "per-tenant archive request-rate quota in requests/s (0 = unlimited)")

@@ -144,8 +144,8 @@ paths:
   dest: /tmp/eoml/orion     # destination filesystem
 
 workers:
-  download: 3
-  preprocess: 8
+  download: 3             # granule tasks fetching ahead of a free preprocess slot
+  preprocess: 8           # compute slots: granules decoding, tiling and labeling at once
   inference: 1
 
 tile:

@@ -277,6 +277,7 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	_, coldBefore := srv.Stats()
 	rep, err := run.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -287,9 +288,27 @@ func TestFleetSmoke(t *testing.T) {
 	if rep.FilesShipped == 0 {
 		t.Fatal("fleet run shipped nothing")
 	}
-	// Bytes moved on the workers, not through this process.
-	if rep.BytesDownloaded != 0 {
-		t.Fatalf("coordinator process downloaded %d bytes; refs should ship, not bytes", rep.BytesDownloaded)
+	// Bytes moved on the workers, not through this process, and the
+	// workers reported every byte the archive sent. The archive counts a
+	// chunk after writing it, so its total can trail the reads a moment.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		_, coldAfter := srv.Stats()
+		if rep.BytesDownloaded == coldAfter-coldBefore {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers reported %d bytes fetched, the archive sent %d", rep.BytesDownloaded, coldAfter-coldBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, f := range rep.Metrics {
+		if f.Name == "eoml_laads_client_requests_total" {
+			for _, s := range f.Series {
+				if s.Value != 0 {
+					t.Fatalf("the submitting process made %v archive requests; refs should ship, not bytes", s.Value)
+				}
+			}
+		}
 	}
 	// The labels the workers wrote must be real labels, not sentinels.
 	ents, err := os.ReadDir(cfg.DestDir)
@@ -329,6 +348,9 @@ func TestFleetSmoke(t *testing.T) {
 	if reqAfter != reqBefore || bytesAfter != bytesBefore {
 		t.Fatalf("warm pass hit the archive: %d requests, %d bytes (want 0, 0)",
 			reqAfter-reqBefore, bytesAfter-bytesBefore)
+	}
+	if rep2.FilesDownloaded != 0 || rep2.BytesDownloaded != 0 {
+		t.Fatalf("warm pass reports files=%d bytes=%d downloaded, want 0 0", rep2.FilesDownloaded, rep2.BytesDownloaded)
 	}
 }
 

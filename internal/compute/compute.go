@@ -1,9 +1,9 @@
 // Package compute is a Globus-Compute-like (FuncX) function-serving
 // fabric: named functions are registered in a registry, endpoints execute
 // submitted tasks on bounded worker pools, and a remote client submits
-// work over HTTP and polls futures — the same programming model the
-// paper's download stage uses to fan wget tasks out to workers on the
-// Defiant data-transfer nodes.
+// work over HTTP and polls futures — the programming model of the
+// paper's remotely executable download function. Every fleet worker
+// serves its granule kernel on an endpoint.
 package compute
 
 import (
@@ -149,15 +149,6 @@ type EndpointConfig struct {
 	QueueDepth int
 	// TaskTimeout bounds each task's execution; 0 disables.
 	TaskTimeout time.Duration
-	// OnWorkerChange, when set, observes the active-worker count after
-	// every change — the hook the Fig. 6 timeline recorder uses.
-	OnWorkerChange func(active int)
-	// OnEnqueue, when set, observes every accepted task right after it
-	// is queued (before a pool worker picks it up). The fleet worker's
-	// granule prefetcher hangs off this hook: it sees leased tasks while
-	// they wait for a compute slot and fetches their inputs ahead of
-	// execution. Called outside the endpoint lock; must not block.
-	OnEnqueue func(function string, args map[string]any)
 }
 
 // Endpoint executes registry functions on a worker pool.
@@ -264,12 +255,7 @@ func runSafely(ctx context.Context, fn Function, args map[string]any) (result an
 func (e *Endpoint) setActive(delta int) {
 	e.mu.Lock()
 	e.active += delta
-	active := e.active
-	hook := e.cfg.OnWorkerChange
 	e.mu.Unlock()
-	if hook != nil {
-		hook(active)
-	}
 }
 
 // ActiveWorkers reports how many workers are executing right now.
@@ -305,9 +291,6 @@ func (e *Endpoint) Submit(function string, args map[string]any) (*Future, error)
 	select {
 	case e.queue <- &queued{fn: fn, arg: args, fut: fut}:
 		e.mu.Unlock()
-		if hook := e.cfg.OnEnqueue; hook != nil {
-			hook(function, args)
-		}
 		return fut, nil
 	default:
 		delete(e.futures, id)
@@ -333,27 +316,4 @@ func (e *Endpoint) forget(id string) {
 	e.mu.Lock()
 	delete(e.futures, id)
 	e.mu.Unlock()
-}
-
-// Map submits one task per argument set and waits for all, returning
-// results in order. The first error is reported, but all tasks run.
-func (e *Endpoint) Map(ctx context.Context, function string, argSets []map[string]any) ([]any, error) {
-	futs := make([]*Future, len(argSets))
-	for i, args := range argSets {
-		f, err := e.Submit(function, args)
-		if err != nil {
-			return nil, err
-		}
-		futs[i] = f
-	}
-	results := make([]any, len(futs))
-	var firstErr error
-	for i, f := range futs {
-		r, err := f.Get(ctx)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("task %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, firstErr
 }

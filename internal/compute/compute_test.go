@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -146,9 +145,18 @@ func TestEndpointBoundedConcurrency(t *testing.T) {
 	ep, _ := NewEndpoint("e", reg, EndpointConfig{Workers: 4})
 	ep.Start()
 	defer ep.Stop()
-	args := make([]map[string]any, 20)
-	if _, err := ep.Map(context.Background(), "probe", args); err != nil {
-		t.Fatal(err)
+	futs := make([]*Future, 20)
+	for i := range futs {
+		f, err := ep.Submit("probe", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = f
+	}
+	for _, f := range futs {
+		if _, err := f.Get(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -216,37 +224,6 @@ func TestEndpointTaskTimeout(t *testing.T) {
 	}
 }
 
-func TestWorkerChangeHookObservesActivity(t *testing.T) {
-	reg := registryWithMath(t)
-	var maxActive int64
-	ep, _ := NewEndpoint("e", reg, EndpointConfig{
-		Workers: 3,
-		OnWorkerChange: func(active int) {
-			for {
-				cur := atomic.LoadInt64(&maxActive)
-				if int64(active) <= cur || atomic.CompareAndSwapInt64(&maxActive, cur, int64(active)) {
-					break
-				}
-			}
-		},
-	})
-	ep.Start()
-	args := make([]map[string]any, 9)
-	for i := range args {
-		args[i] = map[string]any{"ms": float64(10)}
-	}
-	if _, err := ep.Map(context.Background(), "sleep", args); err != nil {
-		t.Fatal(err)
-	}
-	ep.Stop()
-	if atomic.LoadInt64(&maxActive) < 2 {
-		t.Fatalf("hook saw max active %d", maxActive)
-	}
-	if ep.ActiveWorkers() != 0 {
-		t.Fatalf("active after stop = %d", ep.ActiveWorkers())
-	}
-}
-
 func TestHTTPTransportRoundTrip(t *testing.T) {
 	reg := registryWithMath(t)
 	ep, _ := NewEndpoint("remote-dtn", reg, EndpointConfig{Workers: 2})
@@ -302,31 +279,6 @@ func TestHTTPTransportErrors(t *testing.T) {
 	bogus := &RemoteFuture{TaskID: "nope", ep: client}
 	if _, err := bogus.Poll(ctx); err == nil {
 		t.Error("unknown remote task accepted")
-	}
-}
-
-func TestMapPreservesOrder(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register("iden", func(ctx context.Context, args map[string]any) (any, error) {
-		return args["i"], nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ep, _ := NewEndpoint("e", reg, EndpointConfig{Workers: 8})
-	ep.Start()
-	defer ep.Stop()
-	args := make([]map[string]any, 50)
-	for i := range args {
-		args[i] = map[string]any{"i": float64(i)}
-	}
-	results, err := ep.Map(context.Background(), "iden", args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.(float64) != float64(i) {
-			t.Fatalf("result[%d] = %v", i, r)
-		}
 	}
 }
 

@@ -43,8 +43,9 @@ type Config struct {
 	DestDir   string // destination filesystem ("Orion")
 
 	// Stage parallelism (the paper's Fig. 6 run uses 3 / 32 / 1).
-	// PreprocessWorkers is the slot count of a local run's in-process
-	// fleet: how many granule tasks (read, tile, label, write) run at once.
+	// PreprocessWorkers is the compute-slot count of a local run's
+	// in-process fleet; DownloadWorkers is how many more granule tasks it
+	// leases, fetching their inputs while every slot is busy.
 	DownloadWorkers   int
 	PreprocessWorkers int
 	// InferenceWorkers bounds concurrent label-and-move flows over tile
@@ -92,13 +93,13 @@ type Config struct {
 	// /metrics and /healthz on for the lifetime of the run.
 	MetricsAddr string
 
-	// Distribution selects where each granule's task — read, tile, label,
-	// write the labeled file straight into OutboxDir — executes: "local"
-	// (default — an in-process fleet of one with PreprocessWorkers slots,
-	// after stage 1 has downloaded the day into DataDir) or "fleet"
-	// (leased to registered eoml-worker processes via the engine's fleet
-	// coordinator; workers fetch their own inputs). Either way nothing of
-	// the run's own lands in TileDir. Fleet mode requires model and
+	// Distribution selects where each granule's task — fetch what DataDir
+	// lacks, read, tile, label, write the labeled file straight into
+	// OutboxDir — executes: "local" (default — an in-process fleet of one
+	// with PreprocessWorkers compute slots and DownloadWorkers leases
+	// fetching ahead) or "fleet" (leased to registered eoml-worker
+	// processes via the engine's fleet coordinator). Either way nothing
+	// of the run's own lands in TileDir. Fleet mode requires model and
 	// codebook paths, since workers load weights from shared storage.
 	Distribution string
 }

@@ -168,17 +168,63 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Errorf("tile dir not drained: %d files", len(tileEntries))
 	}
 
-	// Telemetry covers all stages.
-	for _, span := range []string{"download", "preprocess", "inference", "shipment"} {
+	// Telemetry covers all stages. Fetching happens inside each granule
+	// task, so download is a timeline row, not a stage span.
+	for _, span := range []string{"preprocess", "inference", "shipment"} {
 		if _, ok := rep.Spans.Get(span); !ok {
 			t.Errorf("missing span %q", span)
 		}
 	}
-	if rep.Timeline.PeakCount("preprocess") == 0 {
-		t.Error("no preprocess activity in timeline")
+	for _, row := range []string{"download", "preprocess"} {
+		if rep.Timeline.PeakCount(row) == 0 {
+			t.Errorf("no %s activity in timeline", row)
+		}
 	}
 	if !strings.Contains(rep.Summary(), "labeled=") {
 		t.Errorf("summary: %s", rep.Summary())
+	}
+}
+
+// TestRerunOverDataDirFetchesNothing: the granule task fetches only what
+// DataDir lacks, so a second local run over the same data directory
+// makes no archive request and reports no download.
+func TestRerunOverDataDirFetchesNothing(t *testing.T) {
+	granules := findProductiveGranules(t, 2, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	srv, err := laads.NewServer(laads.ServerConfig{ScaleDown: testScale, Token: "test-token"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	run := func(cfg Config) *Report {
+		t.Helper()
+		p, err := New(cfg, labeler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FilesShipped != len(granules) {
+			t.Fatalf("shipped %d of %d: %s", rep.FilesShipped, len(granules), rep.Summary())
+		}
+		return rep
+	}
+	first := testConfig(t, ts.URL, granules)
+	if rep := run(first); rep.FilesDownloaded != 3*len(granules) {
+		t.Fatalf("first run: %s, want every product file fetched", rep.Summary())
+	}
+	requests, _ := srv.Stats()
+	again := testConfig(t, ts.URL, granules)
+	again.DataDir = first.DataDir
+	rep := run(again)
+	if rep.FilesDownloaded != 0 || rep.BytesDownloaded != 0 {
+		t.Fatalf("rerun over the same data directory reports files=%d bytes=%d, want 0 0", rep.FilesDownloaded, rep.BytesDownloaded)
+	}
+	if r, _ := srv.Stats(); r != requests {
+		t.Fatalf("rerun made %d archive requests, want none", r-requests)
 	}
 }
 

@@ -172,3 +172,47 @@ func TestEngineTenantQuotaShared(t *testing.T) {
 		t.Fatal("distinct tenants share a quota")
 	}
 }
+
+// TestLocalRunFetchesThroughTenantQuota: a local run's granule tasks
+// fetch through the run's own archive client, so every archive request
+// waits on the run's tenant quota and is counted on the run's registry.
+func TestLocalRunFetchesThroughTenantQuota(t *testing.T) {
+	granules := findProductiveGranules(t, 2, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	quotaReg := metrics.NewRegistry()
+	pool := laads.NewQuotaPool(10_000, 64) // generous: only the accounting is under test
+	pool.Instrument(quotaReg)
+	eng := NewEngine(EngineOptions{Labeler: labeler, Quotas: pool})
+	run, err := eng.NewRun(testConfig(t, ts.URL, granules), RunOptions{ID: "q", Tenant: "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := 3 * len(granules)
+	var waits int64 = -1
+	for _, fam := range quotaReg.Snapshot() {
+		if fam.Name != "eoml_laads_quota_wait_seconds" {
+			continue
+		}
+		for _, s := range fam.Series {
+			if len(s.Labels) == 1 && s.Labels[0] == metrics.L("tenant", "acme") {
+				waits = s.Histogram.Count
+			}
+		}
+	}
+	if waits != int64(want) {
+		t.Fatalf("tenant acme quota waits = %d, want %d (3 per granule)", waits, want)
+	}
+	var requests float64 = -1
+	for _, fam := range run.Metrics().Snapshot() {
+		if fam.Name == "eoml_laads_client_requests_total" && len(fam.Series) == 1 {
+			requests = fam.Series[0].Value
+		}
+	}
+	if requests != float64(want) {
+		t.Fatalf("run registry counts %v archive requests, want %d", requests, want)
+	}
+}

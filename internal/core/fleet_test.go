@@ -195,8 +195,9 @@ func TestLocalRunSurvivesPanickingKernel(t *testing.T) {
 }
 
 // TestCoreDoesNotImportParsl pins the import boundary: core runs every
-// granule through the fleet protocol, so no non-test file in it may
-// reach for the parsl executor again.
+// granule, its fetch included, through the fleet protocol, so no non-test
+// file in it may reach for the parsl executor or the compute fabric
+// again.
 func TestCoreDoesNotImportParsl(t *testing.T) {
 	fset := token.NewFileSet()
 	files, err := filepath.Glob("*.go")
@@ -212,7 +213,8 @@ func TestCoreDoesNotImportParsl(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, imp := range f.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); strings.HasSuffix(path, "/internal/parsl") {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if strings.HasSuffix(path, "/internal/parsl") || strings.HasSuffix(path, "/internal/compute") {
 				t.Errorf("%s imports %s", name, path)
 			}
 		}

@@ -37,10 +37,10 @@ type Report struct {
 }
 
 // Run is one isolated execution of the five-stage workflow, built by
-// Engine.NewRun. Both execution modes — batch (Run) and streaming
-// (RunStream) — are thin drivers over the same stage objects from
-// internal/stage and the same granule driver (core/fleet.go), composed
-// in different orders. Every Run owns its own metric registry, health
+// Engine.NewRun. Batch execution (Run) is streaming execution
+// (RunStream) over a closed feed of the configured granules: one driver
+// over the stage objects from internal/stage and the granule driver in
+// core/fleet.go. Every Run owns its own metric registry, health
 // tracker, and stage state; the kernels and archive quota it uses are
 // the engine's shared ones.
 type Run struct {
@@ -117,13 +117,12 @@ func (p *Run) Metrics() *metrics.Registry { return p.metrics }
 // directly on /healthz.
 func (p *Run) Health() *metrics.Health { return p.health }
 
-// newReport builds the report and the shared run context every driver
+// newReport builds the report and the shared run context the driver
 // hands to the stage orchestrator.
-func (p *Run) newReport(granules int) (*Report, *stage.RunContext) {
+func (p *Run) newReport() (*Report, *stage.RunContext) {
 	rep := &Report{
-		GranulesRequested: granules,
-		Timeline:          trace.NewTimeline(),
-		Spans:             trace.NewSpans(),
+		Timeline: trace.NewTimeline(),
+		Spans:    trace.NewSpans(),
 	}
 	rc := &stage.RunContext{
 		Epoch:    time.Now(),
@@ -176,59 +175,24 @@ func (p *Run) finish(rep *Report, rc *stage.RunContext, svc *stage.InferenceServ
 	rep.Metrics = p.metrics.Snapshot()
 }
 
-// Run executes download → preprocess → monitor/trigger → inference →
-// shipment and returns the run report. Each granule is one fleet task
-// that tiles, labels and publishes it into OutboxDir; the inference
-// service arms during orchestrator setup and counts those files as they
-// are published (and labels any tile file another writer drops into
-// TileDir); shipment begins once every file is in.
+// Run executes the batch workflow: every configured granule is handed
+// to RunStream's driver at once. Each granule is one fleet task that
+// fetches whatever DataDir lacks, tiles, labels and publishes it into
+// OutboxDir; the inference service arms during orchestrator setup and
+// counts those files as they are published (and labels any tile file
+// another writer drops into TileDir); shipment begins once every file
+// is in.
 func (p *Run) Run(ctx context.Context) (*Report, error) {
-	rep, rc := p.newReport(len(p.cfg.GranuleIDs()))
-	svc := p.inferenceService()
-	ship := p.shipment(svc)
-	coord, release := p.coordinator()
-	defer release()
-
-	download := stage.Func("download", func(ctx context.Context, rc *stage.RunContext) error {
-		if p.workersFetch() {
-			rc.Health.Beat("download")
-			rc.Timeline.Record("download", rc.Since(), 0)
-			return nil
+	ids := p.cfg.GranuleIDs()
+	arrivals := make(chan int, len(ids))
+	for _, g := range ids {
+		select {
+		case arrivals <- g.Index:
+		case <-ctx.Done(): // RunStream reports the cancellation
 		}
-		rc.EventCounter("download", stage.EventIn).Add(int64(3 * len(p.cfg.GranuleIDs())))
-		files, bytes, err := p.downloadViaCompute(ctx, p.cfg.GranuleIDs(), func(active int) {
-			rc.Timeline.Record("download", rc.Since(), active)
-			rc.Health.Beat("download")
-		})
-		if err != nil {
-			return err
-		}
-		rep.FilesDownloaded, rep.BytesDownloaded = files, bytes
-		rc.EventCounter("download", stage.EventOut).Add(int64(files))
-		return nil
-	})
-	preprocess := stage.Func("preprocess", func(ctx context.Context, rc *stage.RunContext) error {
-		d := p.driver(rc, svc, coord)
-		for _, g := range p.cfg.GranuleIDs() {
-			d.submit(ctx, g)
-		}
-		files, tiles, err := d.wait()
-		if err != nil {
-			return err
-		}
-		rep.TileFiles, rep.TilesProduced = files, tiles
-		svc.ExpectFiles(files)
-		return nil
-	})
-
-	err := stage.NewOrchestrator(rc).Execute(ctx, download, preprocess, svc, ship)
-	p.finish(rep, rc, svc, ship)
-	if err != nil {
-		// The partial report still carries telemetry and the FlowsFailed
-		// count, so callers can see how far the run got.
-		return rep, fmt.Errorf("core: %w", err)
 	}
-	return rep, nil
+	close(arrivals)
+	return p.RunStream(ctx, arrivals)
 }
 
 // Summary renders a one-paragraph report.

@@ -31,8 +31,8 @@ import (
 //
 // Size is bounded by LRU eviction, and concurrent fetches of one key
 // coalesce: the first caller downloads, the rest wait and read the
-// cache (singleflight), so a prefetcher racing the compute slot costs
-// one archive fetch, not two.
+// cache (singleflight), so two leases of one granule racing on a worker
+// cost one archive fetch, not two.
 type DownloadCache struct {
 	dir string
 	max int64 // byte budget; <=0 means unbounded
@@ -182,7 +182,7 @@ func (c *DownloadCache) SizeBytes() int64 {
 // The returned hit is true when this call made no archive fetch of its
 // own: a resident entry, or a wait coalesced onto another caller's fill.
 // Only the former counts as a hit in Stats; a cold fetch that coalesced
-// onto the prefetcher's download is counted in Coalesced instead, so the
+// onto another lease's download is counted in Coalesced instead, so the
 // hit ratio of a cold cache reads 0.
 func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, error)) (string, bool, error) {
 	kh := key.hash()

@@ -29,7 +29,7 @@ import (
 func granuleKernel(t *testing.T) compute.Function {
 	t.Helper()
 	reg := compute.NewRegistry()
-	if err := fleet.NewKernels().Register(reg); err != nil {
+	if err := fleet.NewKernels().Register(reg, make(chan struct{}, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	fn, err := reg.Lookup(fleet.GranuleFunction)
@@ -176,7 +176,8 @@ func TestGranuleKernelMatchesWriteThenLabel(t *testing.T) {
 
 // TestGranuleKernelDuplicateLeases covers what keeps a duplicated lease
 // harmless on the worker: a repeat on the same worker is a memo hit (no
-// recompute, the first run's times), unless the published file vanished,
+// recompute, the first run's times, no downloads reported again), unless
+// the published file vanished,
 // in which case it recomputes; a lease canceled while it computed does
 // not publish; and a duplicate that outlives its run fails rather than
 // recreating the outbox the run has removed.
@@ -188,8 +189,16 @@ func TestGranuleKernelDuplicateLeases(t *testing.T) {
 	fn := granuleKernel(t)
 
 	first := runGranule(t, fn, args)
+	if first.FetchedFiles != 3 || first.FetchedBytes == 0 {
+		t.Fatalf("first lease reports fetching %d files, %d bytes; want the triple", first.FetchedFiles, first.FetchedBytes)
+	}
 	published := dirFiles(t, args.OutboxDir)
-	if again := runGranule(t, fn, args); again != first {
+	again := runGranule(t, fn, args)
+	if again.FetchedFiles != 0 || again.FetchedBytes != 0 {
+		t.Fatalf("repeat lease reports the first lease's downloads again: %+v", again)
+	}
+	again.FetchedFiles, again.FetchedBytes = first.FetchedFiles, first.FetchedBytes
+	if again != first {
 		t.Fatalf("repeat lease recomputed: %+v, first %+v", again, first)
 	}
 	if err := os.Remove(first.File); err != nil {
@@ -201,7 +210,8 @@ func TestGranuleKernelDuplicateLeases(t *testing.T) {
 	sameFiles(t, "recomputed outbox", dirFiles(t, args.OutboxDir), published)
 
 	// Inputs are on disk now, so a canceled context is first noticed at
-	// the publish check — after all the compute, before the write.
+	// the compute gate or, if the free slot wins the select, at the
+	// publish check — either way before the write.
 	other := granuleKernel(t) // another worker: no memo
 	if err := os.Remove(first.File); err != nil {
 		t.Fatal(err)
@@ -226,31 +236,88 @@ func TestGranuleKernelDuplicateLeases(t *testing.T) {
 	}
 }
 
-// TestPrefetcherFetchesGranuleTasks: the prefetcher recognises the
-// granule function — its inputs are in DataDir before any compute slot
-// runs — and ignores every other function.
-func TestPrefetcherFetchesGranuleTasks(t *testing.T) {
+// TestWorkerFetchesAheadOfItsComputeSlots: fetching needs no compute
+// slot. On a worker with one slot and a lease-ahead window of two, the
+// test holds the only slot; every leased granule's triple still lands in
+// its DataDir and nothing is published. Released, the granules compute
+// one at a time: no two are ever labeling and writing at once.
+func TestWorkerFetchesAheadOfItsComputeSlots(t *testing.T) {
 	archive := newArchive(t)
-	idx := productiveGranules(t, 1, 1)[0]
-	args := granuleTask(t, archive.URL, idx, "m", "c", "")
-	ignored := granuleTask(t, archive.URL, idx, "m", "c", "")
-
-	p := fleet.NewPrefetcher(fleet.NewKernels(), 1)
-	p.OnEnqueue("eoml.something_else", wire(t, ignored))
-	p.OnEnqueue(fleet.GranuleFunction, wire(t, args))
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if entries, _ := os.ReadDir(args.DataDir); len(entries) == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prefetcher did not fetch the granule's triple")
-		}
-		time.Sleep(time.Millisecond)
+	granules := productiveGranules(t, 3, 2)
+	model, codebook := trainAndSave(t, granules[0])
+	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Hour})
+	defer coord.Close()
+	cp := httptest.NewServer(coord.Handler())
+	defer cp.Close()
+	w, err := fleet.NewWorker(fleet.WorkerConfig{ID: "gated", CoordinatorURL: cp.URL, Slots: 1, PrefetchWindow: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Close()
-	if _, err := os.Stat(ignored.DataDir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("prefetcher fetched for a non-granule function (stat: %v)", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := w.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	gate := w.ComputeGate()
+	gate <- struct{}{} // the test takes the only compute slot
+	var once sync.Once
+	release := func() { once.Do(func() { <-gate }) }
+	defer release() // before Stop, which waits for the leases
+
+	tasks := make([]fleet.GranuleArgs, len(granules))
+	futs := make([]*fleet.Future, len(granules))
+	for i, idx := range granules {
+		tasks[i] = granuleTask(t, archive.URL, idx, model, codebook, "")
+		if futs[i], err = coord.Submit(ctx, fleet.GranuleFunction, wire(t, tasks[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range tasks {
+		g := modis.GranuleID{Satellite: modis.Terra, Year: a.Year, DOY: a.DOY, Index: a.Index}
+		for _, kind := range []modis.Kind{modis.L1B, modis.Geo, modis.Cloud} {
+			path := filepath.Join(a.DataDir, modis.FileName(modis.Product{Satellite: modis.Terra, Kind: kind}, g))
+			for {
+				if _, err := os.Stat(path); err == nil {
+					break
+				}
+				if ctx.Err() != nil {
+					t.Fatalf("granule %d: %s not fetched while the compute slot was held", a.Index, filepath.Base(path))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	for _, a := range tasks {
+		if left := dirFiles(t, a.OutboxDir); len(left) != 0 {
+			t.Fatalf("granule %d published while the only compute slot was held", a.Index)
+		}
+	}
+
+	release()
+	type span struct{ from, to time.Time }
+	computing := make([]span, len(futs))
+	for i, f := range futs {
+		v, err := f.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fleet.ParseGranuleResult(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.File == "" || res.FetchedFiles != 3 {
+			t.Fatalf("granule %d: %+v, want a published file and a fetched triple", tasks[i].Index, res)
+		}
+		from := res.Started.Add(res.Fetch + res.Extract)
+		computing[i] = span{from, from.Add(res.Label + res.Write)}
+	}
+	for i := range computing {
+		for j := i + 1; j < len(computing); j++ {
+			if computing[i].from.Before(computing[j].to) && computing[j].from.Before(computing[i].to) {
+				t.Fatalf("granules %d and %d labeled and wrote at once on one compute slot", tasks[i].Index, tasks[j].Index)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/eoml/eoml/internal/compute"
+	"github.com/eoml/eoml/internal/laads"
 )
 
 // inProcess is the Transport of a fleet whose one worker is the calling
@@ -33,18 +34,20 @@ func (t inProcess) Run(ctx context.Context, _, function string, args map[string]
 }
 
 // NewInProcess returns a coordinator with one registered worker — this
-// process, running k's granule kernel on up to slots leases at once —
-// so an in-process run drives granules through the same Submit/Future
-// protocol as a remote fleet. Never Start it: sweeps, heartbeat eviction
-// and stealing guard against remote failures that cannot happen inside
-// one process. Close it when done.
-func NewInProcess(k *Kernels, slots int) *Coordinator {
+// process, running k's granule kernel — so an in-process run drives
+// granules through the same Submit/Future protocol as a remote fleet.
+// Like a remote worker it computes at most slots granules at once and
+// leases window more, which fetch their inputs while every slot is busy;
+// each archive fetch goes through client. Never Start it: sweeps,
+// heartbeat eviction and stealing guard against remote failures that
+// cannot happen inside one process. Close it when done.
+func NewInProcess(k *Kernels, slots, window int, client *laads.Client) *Coordinator {
 	reg := compute.NewRegistry()
-	if err := k.Register(reg); err != nil {
+	if err := k.Register(reg, make(chan struct{}, slots), client); err != nil {
 		panic(err) // unreachable: a fresh registry holds no name to collide with
 	}
 	c := NewCoordinator(Config{Transport: inProcess{reg}})
-	if err := c.Register("in-process", "in-process", slots); err != nil {
+	if err := c.Register("in-process", "in-process", slots+window); err != nil {
 		panic(err) // unreachable: only a closed coordinator refuses
 	}
 	return c

@@ -65,17 +65,25 @@ func (a GranuleArgs) Args() (map[string]any, error) {
 
 // GranuleResult reports one granule's outcome: how many tiles it
 // yielded, the labeled file published for them (empty for a night or
-// cloud-free granule), and where the worker's wall time went. Started is
-// the worker's clock when the task began; the four phases follow it back
-// to back, so Started plus their sum is when the file was published.
+// cloud-free granule), what it fetched from the archive, and where the
+// worker's wall time went. Started is the worker's clock when the task
+// began; the four phases follow it back to back, so Started plus their
+// sum is when the file was published.
 type GranuleResult struct {
 	Tiles   int    `json:"tiles"`
 	File    string `json:"file"`
 	Labeled int    `json:"labeled"`
 
+	// FetchedFiles and FetchedBytes count the archive fetches this task
+	// made itself. An input already in DataDir, served by the download
+	// cache or fetched by a concurrent task this one waited on costs it
+	// nothing, and so does a memo hit.
+	FetchedFiles int   `json:"fetched_files"`
+	FetchedBytes int64 `json:"fetched_bytes"`
+
 	Started time.Time     `json:"started"`
 	Fetch   time.Duration `json:"fetch_ns"`   // archive or cache fetch of the HDF triple
-	Extract time.Duration `json:"extract_ns"` // HDF decode + tile extraction
+	Extract time.Duration `json:"extract_ns"` // wait for a compute slot + HDF decode + tile extraction
 	Label   time.Duration `json:"label_ns"`   // encode + codebook assignment
 	Write   time.Duration `json:"write_ns"`   // NetCDF encode + temp write + rename
 }
@@ -113,8 +121,8 @@ type KernelConfig struct {
 	// ResultCacheSize bounds memoized task results; 0 means 1024.
 	ResultCacheSize int
 	// Quota, when set, gates archive fetches on the owning tenant's
-	// token bucket — the prefetcher shares it with the compute slots, so
-	// overlap never exceeds the facility's request-rate agreement.
+	// token bucket, so fetching ahead of the compute slots never exceeds
+	// the facility's request-rate agreement.
 	Quota *laads.QuotaPool
 }
 
@@ -135,18 +143,19 @@ type Kernels struct {
 	// models caches loaded labelers keyed "modelPath|codebookPath".
 	// guarded by mu
 	models map[string]*aicca.Labeler
-	// clients caches archive clients keyed "url|token" so every fetch —
-	// prefetch or in-slot — shares one connection pool and one quota
-	// hook per tenant. guarded by mu
+	// clients caches archive clients keyed "url|token" so every fetch of
+	// one credential shares one connection pool and one quota hook.
+	// guarded by mu
 	clients map[string]*laads.Client
 	// fetches coalesces concurrent cache-less downloads of one
-	// destination path: the prefetcher and a compute slot racing on the
-	// same granule must cost one archive fetch, not two concurrent
-	// writers. (With the cache enabled its own singleflight covers
-	// this.) guarded by mu
+	// destination path: two leases of one granule in this process (a
+	// steal, a requeue) must cost one archive fetch, not two writers on
+	// the same pid-suffixed temp file. (With the cache enabled its own
+	// singleflight covers this.) guarded by mu
 	fetches map[string]*fetchCall
 
-	prefetchInflight atomic.Int64
+	// fetching counts granule tasks in their fetch phase.
+	fetching atomic.Int64
 }
 
 // NewKernels builds the worker kernel set with caching and quota off.
@@ -178,7 +187,7 @@ func NewKernelsWith(cfg KernelConfig) (*Kernels, error) {
 	return k, nil
 }
 
-// Instrument registers the worker-side cache and prefetch series on
+// Instrument registers the worker-side cache and fetch series on
 // reg: eoml_fleet_cache_{hits,misses,evictions}_total broken out by
 // cache={download,result}, eoml_fleet_cache_coalesced_total for the
 // download cache, and the eoml_fleet_prefetch_inflight gauge.
@@ -219,17 +228,26 @@ func (k *Kernels) Instrument(reg *metrics.Registry) {
 			return float64(k.downloads.Coalesced())
 		}, dl)
 	reg.GaugeFunc("eoml_fleet_prefetch_inflight",
-		"Granule input fetches currently running ahead of their compute slot.",
-		func() float64 { return float64(k.prefetchInflight.Load()) })
+		"Granule tasks currently fetching their archive inputs; a task takes a compute slot only once they are present.",
+		func() float64 { return float64(k.fetching.Load()) })
 }
 
-// Register adds the granule task function to a compute registry.
-func (k *Kernels) Register(reg *compute.Registry) error {
-	return reg.Register(GranuleFunction, k.granule)
+// Register adds the granule task function to a compute registry. gate
+// holds the host's compute slots, one token each: a task fetches its
+// inputs without one and holds one only from "inputs present" to "file
+// published", so a host that runs more tasks than it has slots fetches
+// the surplus while the slots compute. client, when set, makes every
+// archive fetch of these tasks — a local run passes its own, carrying
+// its tenant's quota and the run's metrics; nil uses one shared client
+// per archive credential.
+func (k *Kernels) Register(reg *compute.Registry, gate chan struct{}, client *laads.Client) error {
+	return reg.Register(GranuleFunction, func(ctx context.Context, args map[string]any) (any, error) {
+		return k.granule(ctx, args, gate, client)
+	})
 }
 
 // clientFor finds or creates the archive client for one url+token pair,
-// so prefetch and in-slot fetches share a connection pool and the
+// so every fetch of one credential shares a connection pool and the
 // tenant's quota bucket. Tenants are keyed to the archive credential
 // (hashed — the secret never becomes a metric label).
 func (k *Kernels) clientFor(url, token string) *laads.Client {
@@ -250,19 +268,26 @@ func (k *Kernels) clientFor(url, token string) *laads.Client {
 
 // fetchGranuleInputs fetches the granule's product files missing from
 // dataDir, all three concurrently — against a latency-shaped archive
-// the triple costs one round-trip instead of three. Each fetch goes
-// through the download cache (when enabled), so re-leases and restarted
-// runs hit disk. No archive URL means shared storage; missing files
+// the triple costs one round-trip instead of three — and returns how
+// many files and bytes it fetched from the archive itself. Each fetch
+// goes through the download cache (when enabled), so re-leases and
+// restarted runs hit disk. A nil client means this kernel set's own for
+// the credential. No archive URL means shared storage; missing files
 // surface later as read errors.
-func (k *Kernels) fetchGranuleInputs(ctx context.Context, g modis.GranuleID, dataDir, url, token string) error {
+func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, error) {
 	if url == "" {
-		return nil
+		return 0, 0, nil
 	}
-	client := k.clientFor(url, token)
+	if client == nil {
+		client = k.clientFor(url, token)
+	}
 	kinds := []modis.Kind{modis.L1B, modis.Geo, modis.Cloud}
 	var (
 		wg   sync.WaitGroup
 		errs = make([]error, len(kinds))
+		// fetched holds the archive downloads this call made; fill runs
+		// on its product's goroutine or not at all.
+		fetched = make([]laads.FileResult, len(kinds))
 	)
 	for i, kind := range kinds {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
@@ -271,16 +296,18 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, g modis.GranuleID, dat
 			continue
 		}
 		if err := os.MkdirAll(dataDir, 0o755); err != nil {
-			return err
+			return 0, 0, err
 		}
 		wg.Add(1)
 		go func(i int, prod modis.Product, name string) {
 			defer wg.Done()
 			fill := func(ctx context.Context) (string, error) {
-				if _, err := client.Download(ctx, prod, g.Year, g.DOY, name, dataDir); err != nil {
+				res, err := client.Download(ctx, prod, g.Year, g.DOY, name, dataDir)
+				if err != nil {
 					return "", fmt.Errorf("fetch %s: %w", name, err)
 				}
-				return filepath.Join(dataDir, name), nil
+				fetched[i] = res
+				return res.Path, nil
 			}
 			if k.downloads == nil {
 				errs[i] = k.fetchDirect(ctx, filepath.Join(dataDir, name), fill)
@@ -291,14 +318,21 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, g modis.GranuleID, dat
 		}(i, prod, name)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	files, bytes := 0, int64(0)
+	for _, res := range fetched {
+		if res.Path != "" {
+			files++
+			bytes += res.Bytes
+		}
+	}
+	return files, bytes, errors.Join(errs...)
 }
 
 // fetchDirect runs fill for dest, coalescing concurrent callers: the
 // first becomes the leader, the rest wait and succeed when it does. A
 // waiter whose leader failed (possibly on the leader's own canceled
-// context) loops and retries as leader, so a compute slot never fails
-// a fetch just because the prefetcher's attempt died.
+// context) loops and retries as leader, so a lease never fails a fetch
+// just because a duplicate lease's attempt died.
 func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, error)) error {
 	for {
 		if _, err := os.Stat(dest); err == nil {
@@ -329,8 +363,7 @@ func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(contex
 	}
 }
 
-// parseGranuleRef decodes and validates the granule reference shared by
-// the granule kernel and the prefetcher.
+// parseGranuleRef decodes and validates a granule task's reference.
 func parseGranuleRef(args map[string]any) (GranuleArgs, modis.GranuleID, error) {
 	var a GranuleArgs
 	if err := rewire(args, &a); err != nil {
@@ -350,19 +383,6 @@ func parseGranuleRef(args map[string]any) (GranuleArgs, modis.GranuleID, error) 
 	return a, g, nil
 }
 
-// prefetchInputs fetches one enqueued granule task's inputs ahead of
-// its compute slot. Errors are dropped: the kernel repeats the fetch
-// (cache-assisted) and reports failures through the normal task path.
-func (k *Kernels) prefetchInputs(ctx context.Context, args map[string]any) {
-	a, g, err := parseGranuleRef(args)
-	if err != nil {
-		return
-	}
-	k.prefetchInflight.Add(1)
-	defer k.prefetchInflight.Add(-1)
-	_ = k.fetchGranuleInputs(ctx, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
-}
-
 // granule is the fused kernel: fetch the granule's triple (inputs
 // absent from DataDir come from the archive when credentials are
 // supplied, so a worker at another facility only needs the reference),
@@ -377,7 +397,11 @@ func (k *Kernels) prefetchInputs(ctx context.Context, args map[string]any) {
 // renames a complete, byte-identical file over the same name. Completed
 // results are memoized on every argument that shapes the output, so a
 // duplicate lease that already ran here returns without recomputing.
-func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error) {
+//
+// Fetching needs no compute slot: the kernel takes one of gate's tokens
+// once its inputs are present and holds it until the file is published.
+// The wait for it counts toward the extract phase.
+func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan struct{}, client *laads.Client) (any, error) {
 	out := GranuleResult{Started: time.Now()}
 	a, g, err := parseGranuleRef(args)
 	if err != nil {
@@ -399,7 +423,10 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error)
 	if v, ok := k.results.Get(memoKey); ok {
 		r := v.(GranuleResult)
 		if _, err := os.Stat(r.File); r.File == "" || err == nil {
-			return r, nil // an empty granule has no file to check
+			// An empty granule has no file to check. The first run
+			// reported its own fetches; this lease made none.
+			r.FetchedFiles, r.FetchedBytes = 0, 0
+			return r, nil
 		}
 		k.results.Delete(memoKey) // output vanished; recompute
 	}
@@ -410,10 +437,19 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any) (any, error)
 		*d, mark = now.Sub(mark), now
 	}
 
-	if err := k.fetchGranuleInputs(ctx, g, a.DataDir, a.ArchiveURL, a.ArchiveToken); err != nil {
+	k.fetching.Add(1)
+	out.FetchedFiles, out.FetchedBytes, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
+	k.fetching.Add(-1)
+	if err != nil {
 		return nil, err
 	}
 	phase(&out.Fetch)
+	select {
+	case gate <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-gate }()
 	var files [3]*hdf.File
 	for i, kind := range []modis.Kind{modis.L1B, modis.Geo, modis.Cloud} {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}

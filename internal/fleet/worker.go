@@ -28,30 +28,31 @@ type WorkerConfig struct {
 	// default is the actual listen address. Set it when the worker sits
 	// behind NAT or a different hostname (multi-facility).
 	AdvertiseURL string
-	// Slots is both the endpoint's pool size and the in-flight capacity
-	// registered with the coordinator; default 1.
+	// Slots is how many granule tasks compute (decode, tile, label,
+	// write) at once; default 1.
 	Slots int
 	// Heartbeat overrides the cadence the coordinator requests; 0 obeys
 	// the coordinator.
 	Heartbeat time.Duration
-	// TaskTimeout bounds each task's execution; 0 disables.
+	// TaskTimeout bounds each task's execution, including its wait for a
+	// compute slot; 0 disables.
 	TaskTimeout time.Duration
-	// PrefetchWindow is how many leased granules fetch their archive
-	// inputs ahead of a free compute slot. It also extends the capacity
-	// registered with the coordinator (Slots + PrefetchWindow) so extra
-	// leases queue at the endpoint where the prefetcher can see them.
-	// 0 disables prefetching.
+	// PrefetchWindow is how many more leases than Slots the worker takes:
+	// those tasks fetch their archive inputs while every compute slot is
+	// busy, then wait for one. The worker registers capacity
+	// Slots + PrefetchWindow and runs that many tasks at once. 0 leases
+	// no more than Slots.
 	PrefetchWindow int
 	// CacheDir, when set, enables the content-addressed on-disk download
 	// cache so re-leased granules hit disk instead of the archive.
 	CacheDir string
 	// CacheMaxBytes bounds the download cache; <= 0 means unbounded.
 	CacheMaxBytes int64
-	// ArchiveQuota, when set, gates every archive fetch — prefetch and
-	// in-slot — on the owning tenant's token bucket.
+	// ArchiveQuota, when set, gates every archive fetch on the owning
+	// tenant's token bucket.
 	ArchiveQuota *laads.QuotaPool
-	// Metrics, when set, receives the worker-side cache and prefetch
-	// series (eoml_fleet_cache_*, eoml_fleet_prefetch_inflight).
+	// Metrics, when set, receives the worker-side cache and fetch series
+	// (eoml_fleet_cache_*, eoml_fleet_prefetch_inflight).
 	Metrics *metrics.Registry
 	// Register, when set, adds extra functions to the worker's registry
 	// before the standard kernels (tests).
@@ -68,8 +69,8 @@ type Worker struct {
 	ep       *compute.Endpoint
 	srv      *http.Server
 	kernels  *Kernels
-	prefetch *Prefetcher
-	capacity int // Slots + PrefetchWindow, registered with the coordinator
+	gate     chan struct{} // the granule kernel's Slots compute slots
+	capacity int           // Slots + PrefetchWindow: registered, and the endpoint's pool size
 
 	mu sync.Mutex
 	// url is the advertised endpoint URL, known after Start. guarded by mu
@@ -108,17 +109,19 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := kernels.Register(reg); err != nil {
+	gate := make(chan struct{}, cfg.Slots)
+	if err := kernels.Register(reg, gate, nil); err != nil {
 		return nil, err
 	}
 	if cfg.Metrics != nil {
 		kernels.Instrument(cfg.Metrics)
 	}
-	prefetch := NewPrefetcher(kernels, cfg.PrefetchWindow)
+	// Lease-ahead: run more tasks than compute slots, so the next
+	// PrefetchWindow granules fetch while the slots compute.
+	capacity := cfg.Slots + cfg.PrefetchWindow
 	ep, err := compute.NewEndpoint(cfg.ID, reg, compute.EndpointConfig{
-		Workers:     cfg.Slots,
+		Workers:     capacity,
 		TaskTimeout: cfg.TaskTimeout,
-		OnEnqueue:   prefetch.OnEnqueue,
 	})
 	if err != nil {
 		return nil, err
@@ -128,10 +131,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		client:   NewClient(cfg.CoordinatorURL),
 		ep:       ep,
 		kernels:  kernels,
-		prefetch: prefetch,
-		// Lease-ahead: advertise more capacity than compute slots so the
-		// next PrefetchWindow granules queue here for the prefetcher.
-		capacity: cfg.Slots + cfg.PrefetchWindow,
+		gate:     gate,
+		capacity: capacity,
 	}, nil
 }
 
@@ -226,7 +227,6 @@ func (w *Worker) Stop() {
 	defer cancel()
 	_ = w.client.Deregister(dctx, w.cfg.ID)
 	w.ep.Stop()
-	w.prefetch.Close()
 	if w.srv != nil {
 		_ = w.srv.Shutdown(dctx)
 		_ = w.srv.Close()

@@ -319,3 +319,8 @@ func TestWorkerJoinsBacklogSlotsFreePerTask(t *testing.T) {
 		t.Fatalf("slow task = %v, %v", v, err)
 	}
 }
+
+// ComputeGate exposes a worker's compute slots to the external tests,
+// which hold one to show that leases keep fetching while every slot is
+// busy.
+func (w *Worker) ComputeGate() chan struct{} { return w.gate }

@@ -289,7 +289,7 @@ func TestServeCancelMidRun(t *testing.T) {
 	labeler := trainLabeler(t, granules[0])
 	archive := newArchive(t)
 	// One token up front, then one request per 100 seconds: the run's
-	// download stage blocks inside Quota.Acquire until canceled.
+	// granule task blocks inside Quota.Acquire until canceled.
 	eng := core.NewEngine(core.EngineOptions{Labeler: labeler, Quotas: laads.NewQuotaPool(0.01, 1)})
 	ts := httptest.NewServer(serve.New(eng, serve.Options{}))
 	defer ts.Close()
