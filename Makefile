@@ -57,13 +57,15 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing pass over the two parsers that consume untrusted bytes:
-# the yamlite config parser and the HDF granule decoder. $(FUZZTIME) per
-# target; any crasher found lands in testdata/fuzz/ and from then on
-# runs as a plain regression test under `go test`.
+# Short fuzzing pass over the three parsers that consume untrusted
+# bytes: the yamlite config parser, the HDF granule decoder and the
+# NetCDF tile-file decoder. $(FUZZTIME) per target; any crasher found
+# lands in testdata/fuzz/ and from then on runs as a plain regression
+# test under `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/yamlite -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netcdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 
 # Hot-path benchmarks (kernels, arena, batching, tile throughput),
 # emitted as a machine-readable record via cmd/benchjson. Runs each

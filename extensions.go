@@ -1,15 +1,12 @@
 package eoml
 
 import (
-	"github.com/eoml/eoml/internal/pipereg"
 	"github.com/eoml/eoml/internal/provenance"
 	"github.com/eoml/eoml/internal/ricc"
-	"github.com/eoml/eoml/internal/zambeze"
 )
 
-// This file exposes the §V roadmap extensions: provenance tracking,
-// continual learning, the federated pipeline registry, and Zambeze-style
-// cross-facility orchestration.
+// This file exposes the two §V roadmap extensions the library carries:
+// provenance tracking and continual learning.
 
 // ProvenanceStore records workflow lineage (W3C-PROV-style).
 type ProvenanceStore = provenance.Store
@@ -18,21 +15,6 @@ type ProvenanceStore = provenance.Store
 // pipeline with Pipeline.SetProvenance; every Run then records the full
 // granule→tiles→labels→shipped chain.
 func NewProvenanceStore() *ProvenanceStore { return provenance.NewStore() }
-
-// SchemaRegistry publishes component input/output contracts.
-type SchemaRegistry = provenance.SchemaRegistry
-
-// NewSchemaRegistry returns a registry preloaded with this workflow's
-// component schemas (download, preprocess, inference, shipment).
-func NewSchemaRegistry() (*SchemaRegistry, error) {
-	r := provenance.NewSchemaRegistry()
-	for _, s := range provenance.EOMLSchemas() {
-		if err := r.Register(s); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
 
 // ReplayBuffer is a reservoir of past training tiles for continual
 // learning.
@@ -56,46 +38,4 @@ func UpdateLabeler(l *Labeler, newTiles []*Tile, buffer *ReplayBuffer, epochs in
 // updates.
 func LabelerDriftOn(l *Labeler, tiles []*Tile) (float64, error) {
 	return l.Model.ReconstructionError(tiles)
-}
-
-// PipelineRegistry is the federated pipeline-as-a-service store.
-type PipelineRegistry = pipereg.Registry
-
-// RegisteredPipeline is one shareable workflow entry.
-type RegisteredPipeline = pipereg.Pipeline
-
-// NewPipelineRegistry returns a registry validating component chains
-// against this workflow's published schemas.
-func NewPipelineRegistry() (*PipelineRegistry, error) {
-	schemas, err := NewSchemaRegistry()
-	if err != nil {
-		return nil, err
-	}
-	return pipereg.NewRegistry(schemas), nil
-}
-
-// EOMLRegisteredPipeline returns this repository's workflow as a
-// publishable registry entry.
-func EOMLRegisteredPipeline() RegisteredPipeline { return pipereg.EOMLPipeline() }
-
-// Orchestrator dispatches campaigns across facility agents
-// (Zambeze-style).
-type Orchestrator = zambeze.Orchestrator
-
-// FacilityAgent executes activities at one facility.
-type FacilityAgent = zambeze.Agent
-
-// Campaign is a cross-facility DAG of activities.
-type Campaign = zambeze.Campaign
-
-// CampaignActivity is one unit of a campaign.
-type CampaignActivity = zambeze.Activity
-
-// NewOrchestrator returns an empty cross-facility orchestrator.
-func NewOrchestrator() *Orchestrator { return zambeze.NewOrchestrator() }
-
-// NewFacilityAgent returns an agent for a facility with bounded
-// concurrency.
-func NewFacilityAgent(facility string, concurrency int) (*FacilityAgent, error) {
-	return zambeze.NewAgent(facility, concurrency)
 }

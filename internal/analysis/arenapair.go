@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // ArenaPair keeps the tensor arenas honest: an arena only amortizes
 // allocations (PR 1's 305→15 allocs/op win) if every Get is returned
@@ -11,32 +8,27 @@ import (
 // hot path back to the allocator. The check is per function declaration
 // and covers both ownership classes the tensor package hands out:
 //
-//   - Tensors: Get/Put on *tensor.Arena, *tensor.LocalArena, or the
-//     tensor.Allocator interface they implement. A function calling Get
+//   - Tensors: Get/Put on *tensor.LocalArena. A function calling Get
 //     must either call Put (directly, deferred, or in a nested literal)
 //     or visibly transfer ownership by returning the gotten tensor — the
 //     Layer.Infer contract, where the caller recycles.
 //   - Shards: Acquire/Release on *tensor.ShardedArena. A function that
 //     checks a LocalArena out of the pool must check it back in, or
 //     return it to the caller.
-//   - Int8 scratch: GetI8/PutI8 on the same allocator types — the
-//     quantized inference path's activation and im2col buffers. They
-//     form their own ownership class: a PutI8 does not excuse a leaked
-//     float tensor, nor vice versa.
+//   - Int8 scratch: GetI8/PutI8 on the same arena — the quantized
+//     inference path's activation and im2col buffers. They form their
+//     own ownership class: a PutI8 does not excuse a leaked float
+//     tensor, nor vice versa.
 //
 // Any other transfer (storing the tensor in a field, handing it to a
 // goroutine) carries an ignore directive naming the new owner.
 var ArenaPair = &Analyzer{
 	Name: "arenapair",
-	Doc:  "a function that calls Get on a tensor arena (Arena, LocalArena, or the Allocator interface) must Put the tensor back, and one that calls ShardedArena.Acquire must Release the shard — or return it to the caller, or document the ownership transfer with an ignore directive",
+	Doc:  "a function that calls Get on a tensor.LocalArena must Put the tensor back, and one that calls ShardedArena.Acquire must Release the shard — or return it to the caller, or document the ownership transfer with an ignore directive",
 	Run:  runArenaPair,
 }
 
 const tensorPkg = "github.com/eoml/eoml/internal/tensor"
-
-// allocTypes are the receiver types whose Get/Put form one ownership
-// class: a tensor taken from any of them must go back through a Put.
-var allocTypes = []string{"Arena", "LocalArena", "Allocator"}
 
 func runArenaPair(pass *Pass) {
 	for _, f := range pass.Files {
@@ -58,13 +50,13 @@ func checkArenaPairs(pass *Pass, fd *ast.FuncDecl) {
 		}
 		fn := calleeFunc(pass.Info, call)
 		switch {
-		case isAllocMethod(fn, "Get"):
+		case isMethodOn(fn, tensorPkg, "LocalArena", "Get"):
 			gets = append(gets, call)
-		case isAllocMethod(fn, "Put"):
+		case isMethodOn(fn, tensorPkg, "LocalArena", "Put"):
 			puts++
-		case isAllocMethod(fn, "GetI8"):
+		case isMethodOn(fn, tensorPkg, "LocalArena", "GetI8"):
 			getI8s = append(getI8s, call)
-		case isAllocMethod(fn, "PutI8"):
+		case isMethodOn(fn, tensorPkg, "LocalArena", "PutI8"):
 			putI8s++
 		case isMethodOn(fn, tensorPkg, "ShardedArena", "Acquire"):
 			acquires = append(acquires, call)
@@ -97,18 +89,6 @@ func checkArenaPairs(pass *Pass, fd *ast.FuncDecl) {
 	if len(acquires) > 0 && releases == 0 {
 		flag(acquires, "ShardedArena Acquire without any Release in %s; the shard never returns to the checkout pool")
 	}
-}
-
-// isAllocMethod reports whether fn is the named method on any of the
-// tensor allocator types, including calls through the Allocator
-// interface (whose method set the concrete arenas satisfy).
-func isAllocMethod(fn *types.Func, name string) bool {
-	for _, typ := range allocTypes {
-		if isMethodOn(fn, tensorPkg, typ, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // returnsOwnership reports whether the Get/Acquire call's result is

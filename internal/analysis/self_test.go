@@ -91,7 +91,6 @@ func TestLiveIgnoreDirectives(t *testing.T) {
 	}
 	root, loader, pkgs := loadModule(t)
 	want := map[string]int{
-		"internal/flows/engine.go":      1, // sleeppoll: modeled action overhead
 		"internal/tile/tile.go":         1, // arenapair: ownership parked in s.bufs
 		"internal/stage/inference.go":   2, // ctxsend ×2: bounded drain and join in shutdown
 		"internal/transfer/transfer.go": 1, // ctxflow: fire-and-forget Submit

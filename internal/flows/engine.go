@@ -88,9 +88,6 @@ func (r *Run) log(kind EventKind, state, detail string) {
 
 // EngineConfig tunes the engine.
 type EngineConfig struct {
-	// ActionOverhead is slept before each Action state, modeling the
-	// flows-service dispatch latency (≈50 ms in the paper's Fig. 7).
-	ActionOverhead time.Duration
 	// MaxTransitions bounds a run, guarding against definition cycles.
 	MaxTransitions int
 }
@@ -101,7 +98,6 @@ type Engine struct {
 
 	mu        sync.Mutex
 	providers map[string]ActionProvider
-	runs      map[string]*Run
 	nextRun   int
 }
 
@@ -110,7 +106,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.MaxTransitions <= 0 {
 		cfg.MaxTransitions = 10000
 	}
-	return &Engine{cfg: cfg, providers: map[string]ActionProvider{}, runs: map[string]*Run{}}
+	return &Engine{cfg: cfg, providers: map[string]ActionProvider{}}
 }
 
 // RegisterProvider names an action provider.
@@ -127,7 +123,8 @@ func (e *Engine) RegisterProvider(name string, p ActionProvider) error {
 	return nil
 }
 
-// Start validates and launches a run asynchronously.
+// Start validates and launches a run asynchronously. The engine keeps
+// no reference to the run: the caller's handle is the only one.
 func (e *Engine) Start(ctx context.Context, def *Definition, input map[string]any) (*Run, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -148,7 +145,6 @@ func (e *Engine) Start(ctx context.Context, def *Definition, input map[string]an
 		status: RunActive,
 		done:   make(chan struct{}),
 	}
-	e.runs[run.ID] = run
 	e.mu.Unlock()
 
 	doc := map[string]any{}
@@ -157,17 +153,6 @@ func (e *Engine) Start(ctx context.Context, def *Definition, input map[string]an
 	}
 	go e.execute(ctx, def, run, doc)
 	return run, nil
-}
-
-// Run looks up a run by ID.
-func (e *Engine) Run(id string) (*Run, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, ok := e.runs[id]
-	if !ok {
-		return nil, fmt.Errorf("flows: no run %q", id)
-	}
-	return r, nil
 }
 
 func (e *Engine) execute(ctx context.Context, def *Definition, run *Run, doc map[string]any) {
@@ -199,115 +184,37 @@ func (e *Engine) execute(ctx context.Context, def *Definition, run *Run, doc map
 		st := def.States[current]
 		run.log(EventStateEntered, current, st.Type)
 
-		var next string
-		switch st.Type {
-		case TypeAction:
-			if e.cfg.ActionOverhead > 0 {
-				//eomlvet:ignore sleeppoll modeled Step Functions action overhead, one bounded sleep per state; the loop checks ctx.Err() each iteration
-				time.Sleep(e.cfg.ActionOverhead)
-			}
-			e.mu.Lock()
-			provider := e.providers[st.ActionProvider]
-			e.mu.Unlock()
-			params, err := substituteParams(st.Parameters, doc)
-			if err != nil {
-				finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
-				return
-			}
-			attempts := 1
-			if st.Retry != nil {
-				attempts = st.Retry.MaxAttempts
-			}
-			var result any
-			for try := 1; try <= attempts; try++ {
-				result, err = runProvider(ctx, provider, params)
-				if err == nil {
-					break
-				}
-				run.log(EventStateEntered, current, fmt.Sprintf("attempt %d failed: %v", try, err))
-				if try < attempts && st.Retry != nil && st.Retry.IntervalSeconds > 0 {
-					select {
-					case <-time.After(time.Duration(st.Retry.IntervalSeconds * float64(time.Second))):
-					case <-ctx.Done():
-						finish(RunFailed, ctx.Err())
-						return
-					}
-				}
-			}
-			if err != nil {
-				if st.Catch != nil {
-					if st.Catch.ErrorPath != "" {
-						if perr := setPath(doc, st.Catch.ErrorPath, err.Error()); perr != nil {
-							finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, perr))
-							return
-						}
-					}
-					run.log(EventStateExited, current, "caught: "+err.Error())
-					current = st.Catch.Next
-					continue
-				}
-				finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
-				return
-			}
-			if st.ResultPath != "" {
-				if err := setPath(doc, st.ResultPath, result); err != nil {
-					finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
-					return
-				}
-			}
-			next = st.Next
-		case TypePass:
-			if st.Result != nil && st.ResultPath != "" {
-				if err := setPath(doc, st.ResultPath, st.Result); err != nil {
-					finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
-					return
-				}
-			}
-			next = st.Next
-		case TypeWait:
-			select {
-			case <-time.After(time.Duration(st.Seconds * float64(time.Second))):
-			case <-ctx.Done():
-				finish(RunFailed, ctx.Err())
-				return
-			}
-			next = st.Next
-		case TypeChoice:
-			matched := false
-			for _, rule := range st.Choices {
-				ok, err := rule.evaluate(doc)
-				if err != nil {
-					finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
-					return
-				}
-				if ok {
-					next = rule.Next
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				if st.Default == "" {
-					finish(RunFailed, fmt.Errorf("flows: state %q: no choice matched and no default", current))
-					return
-				}
-				next = st.Default
-			}
-		case TypeSucceed:
+		if st.Type == TypeSucceed {
 			run.log(EventStateExited, current, "")
 			finish(RunSucceeded, nil)
 			return
-		case TypeFail:
-			run.log(EventStateExited, current, st.Error)
-			finish(RunFailed, fmt.Errorf("flows: %s: %s", st.Error, st.Cause))
+		}
+		// An Action state: Validate admits no other type.
+		e.mu.Lock()
+		provider := e.providers[st.ActionProvider]
+		e.mu.Unlock()
+		params, err := substituteParams(st.Parameters, doc)
+		if err != nil {
+			finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
 			return
 		}
+		result, err := runProvider(ctx, provider, params)
+		if err != nil {
+			finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
+			return
+		}
+		if st.ResultPath != "" {
+			if err := setPath(doc, st.ResultPath, result); err != nil {
+				finish(RunFailed, fmt.Errorf("flows: state %q: %w", current, err))
+				return
+			}
+		}
 		run.log(EventStateExited, current, "")
-		if st.End || next == "" {
+		if st.End {
 			finish(RunSucceeded, nil)
 			return
 		}
-		current = next
+		current = st.Next
 	}
 }
 
@@ -318,29 +225,4 @@ func runProvider(ctx context.Context, p ActionProvider, params map[string]any) (
 		}
 	}()
 	return p(ctx, params)
-}
-
-// MeanActionLatency computes the mean enter→exit latency of Action states
-// over a run's event log — the Fig. 7 measurement.
-func MeanActionLatency(events []Event, def *Definition) time.Duration {
-	var total time.Duration
-	count := 0
-	enter := map[string]time.Time{}
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventStateEntered:
-			enter[ev.State] = ev.Time
-		case EventStateExited:
-			if st, ok := def.States[ev.State]; ok && st.Type == TypeAction {
-				if t0, ok := enter[ev.State]; ok {
-					total += ev.Time.Sub(t0)
-					count++
-				}
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / time.Duration(count)
 }

@@ -1,10 +1,12 @@
 // Package flows is a Globus-Flows-like automation engine: workflows are
 // JSON state machines (a dialect of the Amazon States Language, as Globus
-// Flows uses) whose Action states invoke registered action providers —
-// transfer, compute, inference — with parameters drawn from a JSON flow
-// document. Runs execute asynchronously with a full event log, which is
-// how the paper measures the ~50 ms action-transition overhead of its
-// monitor→infer→append→move inference flow (Fig. 7).
+// Flows uses) whose Action states invoke registered action providers
+// with parameters drawn from a JSON flow document. The dialect has two
+// state types, the ones the paper's stage-3 flow needs: Action (call a
+// provider, store its result at ResultPath, go to Next or End) and
+// Succeed. Definitions with any other state type or field are rejected
+// at parse time. Runs execute asynchronously with an event log; the
+// engine keeps no reference to a run once it is handed back.
 package flows
 
 import (
@@ -16,11 +18,7 @@ import (
 // State types.
 const (
 	TypeAction  = "Action"
-	TypePass    = "Pass"
-	TypeChoice  = "Choice"
-	TypeWait    = "Wait"
 	TypeSucceed = "Succeed"
-	TypeFail    = "Fail"
 )
 
 // Definition is a parsed flow.
@@ -38,53 +36,9 @@ type State struct {
 	ActionProvider string         `json:"ActionProvider,omitempty"`
 	Parameters     map[string]any `json:"Parameters,omitempty"`
 	ResultPath     string         `json:"ResultPath,omitempty"`
-	// Retry re-runs a failed action: at most MaxAttempts total tries with
-	// IntervalSeconds between them (ASL-style, single catch-all retrier).
-	Retry *RetrySpec `json:"Retry,omitempty"`
-	// Catch redirects control to another state when the action fails
-	// after retries, storing the error text at ErrorPath.
-	Catch *CatchSpec `json:"Catch,omitempty"`
-
-	// Choice states.
-	Choices []ChoiceRule `json:"Choices,omitempty"`
-	Default string       `json:"Default,omitempty"`
-
-	// Wait states.
-	Seconds float64 `json:"Seconds,omitempty"`
-
-	// Fail states.
-	Error string `json:"Error,omitempty"`
-	Cause string `json:"Cause,omitempty"`
-
-	// Pass states may inject a literal result.
-	Result any `json:"Result,omitempty"`
 
 	Next string `json:"Next,omitempty"`
 	End  bool   `json:"End,omitempty"`
-}
-
-// RetrySpec declares action retry behaviour.
-type RetrySpec struct {
-	MaxAttempts     int     `json:"MaxAttempts"`
-	IntervalSeconds float64 `json:"IntervalSeconds,omitempty"`
-}
-
-// CatchSpec declares the failure handler of an action.
-type CatchSpec struct {
-	Next      string `json:"Next"`
-	ErrorPath string `json:"ErrorPath,omitempty"`
-}
-
-// ChoiceRule is a single comparison; exactly one comparator must be set.
-type ChoiceRule struct {
-	Variable           string   `json:"Variable"`
-	StringEquals       *string  `json:"StringEquals,omitempty"`
-	NumericEquals      *float64 `json:"NumericEquals,omitempty"`
-	NumericGreaterThan *float64 `json:"NumericGreaterThan,omitempty"`
-	NumericLessThan    *float64 `json:"NumericLessThan,omitempty"`
-	BooleanEquals      *bool    `json:"BooleanEquals,omitempty"`
-	IsNull             *bool    `json:"IsNull,omitempty"`
-	Next               string   `json:"Next"`
 }
 
 // ParseDefinition decodes and validates a flow definition.
@@ -114,15 +68,6 @@ func (d *Definition) Validate() error {
 	if _, ok := d.States[d.StartAt]; !ok {
 		return fmt.Errorf("flows: StartAt %q is not a state", d.StartAt)
 	}
-	checkTarget := func(from, to string) error {
-		if to == "" {
-			return nil
-		}
-		if _, ok := d.States[to]; !ok {
-			return fmt.Errorf("flows: state %q targets undefined state %q", from, to)
-		}
-		return nil
-	}
 	hasTerminal := false
 	for name, st := range d.States {
 		switch st.Type {
@@ -133,40 +78,7 @@ func (d *Definition) Validate() error {
 			if !st.End && st.Next == "" {
 				return fmt.Errorf("flows: action state %q has neither Next nor End", name)
 			}
-			if st.Retry != nil && st.Retry.MaxAttempts < 1 {
-				return fmt.Errorf("flows: action state %q retry needs MaxAttempts >= 1", name)
-			}
-			if st.Catch != nil {
-				if st.Catch.Next == "" {
-					return fmt.Errorf("flows: action state %q catch needs Next", name)
-				}
-				if err := checkTarget(name, st.Catch.Next); err != nil {
-					return err
-				}
-			}
-		case TypePass, TypeWait:
-			if !st.End && st.Next == "" {
-				return fmt.Errorf("flows: state %q has neither Next nor End", name)
-			}
-		case TypeChoice:
-			if len(st.Choices) == 0 {
-				return fmt.Errorf("flows: choice state %q has no rules", name)
-			}
-			for i, rule := range st.Choices {
-				if rule.Next == "" {
-					return fmt.Errorf("flows: choice state %q rule %d has no Next", name, i)
-				}
-				if err := checkTarget(name, rule.Next); err != nil {
-					return err
-				}
-				if rule.comparatorCount() != 1 {
-					return fmt.Errorf("flows: choice state %q rule %d needs exactly one comparator", name, i)
-				}
-			}
-			if err := checkTarget(name, st.Default); err != nil {
-				return err
-			}
-		case TypeSucceed, TypeFail:
+		case TypeSucceed:
 			hasTerminal = true
 		default:
 			return fmt.Errorf("flows: state %q has unknown type %q", name, st.Type)
@@ -174,79 +86,14 @@ func (d *Definition) Validate() error {
 		if st.End {
 			hasTerminal = true
 		}
-		if err := checkTarget(name, st.Next); err != nil {
-			return err
+		if _, ok := d.States[st.Next]; st.Next != "" && !ok {
+			return fmt.Errorf("flows: state %q targets undefined state %q", name, st.Next)
 		}
 	}
 	if !hasTerminal {
-		return fmt.Errorf("flows: no terminal state (End, Succeed, or Fail)")
+		return fmt.Errorf("flows: no terminal state (End or Succeed)")
 	}
 	return nil
-}
-
-func (r ChoiceRule) comparatorCount() int {
-	n := 0
-	if r.StringEquals != nil {
-		n++
-	}
-	if r.NumericEquals != nil {
-		n++
-	}
-	if r.NumericGreaterThan != nil {
-		n++
-	}
-	if r.NumericLessThan != nil {
-		n++
-	}
-	if r.BooleanEquals != nil {
-		n++
-	}
-	if r.IsNull != nil {
-		n++
-	}
-	return n
-}
-
-// evaluate tests the rule against the flow document.
-func (r ChoiceRule) evaluate(doc map[string]any) (bool, error) {
-	v, err := resolvePath(doc, r.Variable)
-	switch {
-	case r.IsNull != nil:
-		isNull := err != nil || v == nil
-		return isNull == *r.IsNull, nil
-	case err != nil:
-		return false, err
-	case r.StringEquals != nil:
-		s, ok := v.(string)
-		return ok && s == *r.StringEquals, nil
-	case r.NumericEquals != nil:
-		f, ok := toFloat(v)
-		return ok && f == *r.NumericEquals, nil
-	case r.NumericGreaterThan != nil:
-		f, ok := toFloat(v)
-		return ok && f > *r.NumericGreaterThan, nil
-	case r.NumericLessThan != nil:
-		f, ok := toFloat(v)
-		return ok && f < *r.NumericLessThan, nil
-	case r.BooleanEquals != nil:
-		b, ok := v.(bool)
-		return ok && b == *r.BooleanEquals, nil
-	}
-	return false, fmt.Errorf("flows: rule on %q has no comparator", r.Variable)
-}
-
-func toFloat(v any) (float64, bool) {
-	switch t := v.(type) {
-	case float64:
-		return t, true
-	case int:
-		return float64(t), true
-	case int64:
-		return float64(t), true
-	case float32:
-		return float64(t), true
-	}
-	return 0, false
 }
 
 // resolvePath walks "$.a.b.c" through nested maps.

@@ -7,70 +7,46 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// inferenceFlowJSON is a miniature of the paper's stage-3/4 flow:
-// crawl -> choice(files found?) -> infer -> append -> move -> succeed.
+// inferenceFlowJSON has the shape of the paper's stage-3 flow (and of
+// internal/stage's): label the file, move it to the outbox, succeed.
 const inferenceFlowJSON = `{
   "Comment": "EO-ML inference flow",
-  "StartAt": "Crawl",
+  "StartAt": "Infer",
   "States": {
-    "Crawl": {
-      "Type": "Action",
-      "ActionProvider": "crawler",
-      "Parameters": {"dir": "$.watch_dir"},
-      "ResultPath": "$.crawl",
-      "Next": "AnyFiles"
-    },
-    "AnyFiles": {
-      "Type": "Choice",
-      "Choices": [
-        {"Variable": "$.crawl.count", "NumericGreaterThan": 0, "Next": "Infer"}
-      ],
-      "Default": "NothingToDo"
-    },
     "Infer": {
       "Type": "Action",
       "ActionProvider": "inference",
-      "Parameters": {"files": "$.crawl.files"},
+      "Parameters": {"file": "$.file"},
       "ResultPath": "$.labels",
       "Next": "Move"
     },
     "Move": {
       "Type": "Action",
       "ActionProvider": "mover",
-      "Parameters": {"files": "$.crawl.files", "dest": "$.outbox"},
+      "Parameters": {"file": "$.file", "dest": "$.outbox", "labeled": "$.labels.labeled"},
       "ResultPath": "$.moved",
       "Next": "Done"
     },
-    "NothingToDo": {"Type": "Succeed"},
     "Done": {"Type": "Succeed"}
   }
 }`
 
-func engineWithProviders(t *testing.T, cfg EngineConfig) *Engine {
+func engineWithProviders(t *testing.T) *Engine {
 	t.Helper()
-	e := NewEngine(cfg)
+	e := NewEngine(EngineConfig{})
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(e.RegisterProvider("crawler", func(ctx context.Context, p map[string]any) (any, error) {
-		dir, _ := p["dir"].(string)
-		if dir == "/empty" {
-			return map[string]any{"count": float64(0), "files": []any{}}, nil
-		}
-		return map[string]any{"count": float64(2), "files": []any{dir + "/a.nc", dir + "/b.nc"}}, nil
-	}))
 	must(e.RegisterProvider("inference", func(ctx context.Context, p map[string]any) (any, error) {
-		files, _ := p["files"].([]any)
-		return map[string]any{"labeled": float64(len(files))}, nil
+		return map[string]any{"labeled": float64(2)}, nil
 	}))
 	must(e.RegisterProvider("mover", func(ctx context.Context, p map[string]any) (any, error) {
-		return "ok", nil
+		return fmt.Sprintf("%v/%v:%v", p["dest"], p["file"], p["labeled"]), nil
 	}))
 	return e
 }
@@ -80,10 +56,10 @@ func TestParseAndRunInferenceFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := engineWithProviders(t, EngineConfig{})
+	e := engineWithProviders(t)
 	run, err := e.Start(context.Background(), def, map[string]any{
-		"watch_dir": "/scratch/tiles",
-		"outbox":    "/scratch/outbox",
+		"file":   "a.nc",
+		"outbox": "/scratch/outbox",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,43 +75,19 @@ func TestParseAndRunInferenceFlow(t *testing.T) {
 	if !ok || labels["labeled"] != float64(2) {
 		t.Fatalf("labels = %#v", out["labels"])
 	}
-	if out["moved"] != "ok" {
+	if out["moved"] != "/scratch/outbox/a.nc:2" {
 		t.Fatalf("moved = %v", out["moved"])
 	}
-	// Event log must contain entered/exited pairs for all visited states.
-	events := run.Events()
+	// The event log holds one entered event per visited state: Infer,
+	// Move, Done.
 	entered := 0
-	for _, ev := range events {
+	for _, ev := range run.Events() {
 		if ev.Kind == EventStateEntered {
 			entered++
 		}
 	}
-	if entered != 4 { // Crawl, AnyFiles, Infer, Move... plus Done = 5? Done is Succeed
-		// Visited: Crawl, AnyFiles, Infer, Move, Done = 5
-		if entered != 5 {
-			t.Fatalf("entered %d states", entered)
-		}
-	}
-}
-
-func TestChoiceDefaultBranch(t *testing.T) {
-	def, err := ParseDefinition([]byte(inferenceFlowJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engineWithProviders(t, EngineConfig{})
-	run, err := e.Start(context.Background(), def, map[string]any{"watch_dir": "/empty"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// The empty branch must not have run inference.
-	for _, ev := range run.Events() {
-		if ev.State == "Infer" {
-			t.Fatal("inference ran on empty crawl")
-		}
+	if entered != 3 {
+		t.Fatalf("entered %d states, want 3", entered)
 	}
 }
 
@@ -143,14 +95,17 @@ func TestValidationErrors(t *testing.T) {
 	cases := map[string]string{
 		"no start":        `{"States": {"A": {"Type": "Succeed"}}}`,
 		"bad start":       `{"StartAt": "X", "States": {"A": {"Type": "Succeed"}}}`,
-		"bad next":        `{"StartAt": "A", "States": {"A": {"Type": "Pass", "Next": "Z"}, "B": {"Type": "Succeed"}}}`,
-		"no terminal":     `{"StartAt": "A", "States": {"A": {"Type": "Pass", "Next": "A"}}}`,
+		"bad next":        `{"StartAt": "A", "States": {"A": {"Type": "Action", "ActionProvider": "p", "Next": "Z"}, "B": {"Type": "Succeed"}}}`,
+		"no terminal":     `{"StartAt": "A", "States": {"A": {"Type": "Action", "ActionProvider": "p", "Next": "A"}}}`,
 		"no provider":     `{"StartAt": "A", "States": {"A": {"Type": "Action", "End": true}}}`,
 		"dangling action": `{"StartAt": "A", "States": {"A": {"Type": "Action", "ActionProvider": "p"}}}`,
 		"unknown type":    `{"StartAt": "A", "States": {"A": {"Type": "Banana", "End": true}}}`,
-		"choice no rules": `{"StartAt": "A", "States": {"A": {"Type": "Choice"}, "B": {"Type": "Succeed"}}}`,
-		"rule two cmp":    `{"StartAt": "A", "States": {"A": {"Type": "Choice", "Choices": [{"Variable": "$.x", "StringEquals": "a", "IsNull": true, "Next": "B"}]}, "B": {"Type": "Succeed"}}}`,
 		"unknown field":   `{"StartAt": "A", "Bogus": 1, "States": {"A": {"Type": "Succeed"}}}`,
+		// The engine runs Action and Succeed only; the rest of ASL is
+		// rejected rather than half-run.
+		"pass state":   `{"StartAt": "A", "States": {"A": {"Type": "Pass", "Next": "B"}, "B": {"Type": "Succeed"}}}`,
+		"choice state": `{"StartAt": "A", "States": {"A": {"Type": "Choice", "Choices": [{"Variable": "$.x", "StringEquals": "a", "Next": "B"}]}, "B": {"Type": "Succeed"}}}`,
+		"wait state":   `{"StartAt": "A", "States": {"A": {"Type": "Wait", "Seconds": 1, "Next": "B"}, "B": {"Type": "Succeed"}}}`,
 	}
 	for name, doc := range cases {
 		if _, err := ParseDefinition([]byte(doc)); err == nil {
@@ -198,20 +153,13 @@ func TestFailStateAndProviderError(t *testing.T) {
 		t.Fatalf("status %v", run.Status())
 	}
 
-	def2, err := ParseDefinition([]byte(`{
+	// A Fail state is not part of the dialect: failure comes from a
+	// provider, never from the definition.
+	if _, err := ParseDefinition([]byte(`{
 		"StartAt": "F",
-		"States": {"F": {"Type": "Fail", "Error": "BadDay", "Cause": "nothing works"}}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run2, err := e.Start(context.Background(), def2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = run2.Wait(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "BadDay") {
-		t.Fatalf("fail state error: %v", err)
+		"States": {"F": {"Type": "Fail"}}
+	}`)); err == nil || !strings.Contains(err.Error(), "unknown type") {
+		t.Fatalf("fail state: %v", err)
 	}
 }
 
@@ -219,8 +167,8 @@ func TestCycleGuard(t *testing.T) {
 	def, err := ParseDefinition([]byte(`{
 		"StartAt": "A",
 		"States": {
-			"A": {"Type": "Pass", "Next": "B"},
-			"B": {"Type": "Pass", "Next": "A"},
+			"A": {"Type": "Action", "ActionProvider": "noop", "Next": "B"},
+			"B": {"Type": "Action", "ActionProvider": "noop", "Next": "A"},
 			"C": {"Type": "Succeed"}
 		}
 	}`))
@@ -228,63 +176,17 @@ func TestCycleGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(EngineConfig{MaxTransitions: 50})
+	if err := e.RegisterProvider("noop", func(ctx context.Context, p map[string]any) (any, error) {
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	run, err := e.Start(context.Background(), def, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := run.Wait(context.Background()); err == nil {
 		t.Fatal("cycle not caught")
-	}
-}
-
-func TestWaitState(t *testing.T) {
-	def, err := ParseDefinition([]byte(`{
-		"StartAt": "W",
-		"States": {
-			"W": {"Type": "Wait", "Seconds": 0.05, "Next": "S"},
-			"S": {"Type": "Succeed"}
-		}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(EngineConfig{})
-	start := time.Now()
-	run, err := e.Start(context.Background(), def, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("wait state did not wait")
-	}
-}
-
-func TestPassResultInjection(t *testing.T) {
-	def, err := ParseDefinition([]byte(`{
-		"StartAt": "P",
-		"States": {
-			"P": {"Type": "Pass", "Result": {"k": 42}, "ResultPath": "$.injected", "Next": "S"},
-			"S": {"Type": "Succeed"}
-		}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(EngineConfig{})
-	run, err := e.Start(context.Background(), def, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := run.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, ok := out["injected"].(map[string]any)
-	if !ok || inj["k"] != float64(42) {
-		t.Fatalf("injected = %#v", out["injected"])
 	}
 }
 
@@ -331,40 +233,6 @@ func TestParameterSubstitutionNested(t *testing.T) {
 	}
 	if got["list"].([]any)[0] != "/data" {
 		t.Fatalf("list = %#v", got["list"])
-	}
-}
-
-func TestActionOverheadMeasurable(t *testing.T) {
-	// The Fig. 7 measurement: with a configured 5ms dispatch overhead and
-	// instant providers, mean action latency must be >= 5ms.
-	e := NewEngine(EngineConfig{ActionOverhead: 5 * time.Millisecond})
-	if err := e.RegisterProvider("instant", func(ctx context.Context, p map[string]any) (any, error) {
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	def, err := ParseDefinition([]byte(`{
-		"StartAt": "A",
-		"States": {
-			"A": {"Type": "Action", "ActionProvider": "instant", "Next": "B"},
-			"B": {"Type": "Action", "ActionProvider": "instant", "End": true}
-		}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := e.Start(context.Background(), def, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Overhead is slept after state-entered, so it lands inside the
-	// enter→exit window.
-	lat := MeanActionLatency(run.Events(), def)
-	if lat < 5*time.Millisecond {
-		t.Fatalf("mean action latency %v < overhead", lat)
 	}
 }
 
@@ -427,11 +295,21 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 	if atomic.LoadInt64(&counter) != 10 {
 		t.Fatalf("provider ran %d times", counter)
 	}
-	// Run lookup by ID.
-	if _, err := e.Run(runs[0].ID); err != nil {
-		t.Fatal(err)
+}
+
+// TestRetryCatchValidation pins that the ASL Retry and Catch fields are
+// rejected: a definition asking for either would otherwise parse and
+// then silently run without them.
+func TestRetryCatchValidation(t *testing.T) {
+	cases := map[string]string{
+		"retry": `{"StartAt": "A", "States": {"A": {
+			"Type": "Action", "ActionProvider": "p", "Retry": {"MaxAttempts": 3}, "End": true}}}`,
+		"catch": `{"StartAt": "A", "States": {"A": {
+			"Type": "Action", "ActionProvider": "p", "Catch": {"Next": "A"}, "End": true}}}`,
 	}
-	if _, err := e.Run("run-999999"); err == nil {
-		t.Fatal("unknown run found")
+	for name, doc := range cases {
+		if _, err := ParseDefinition([]byte(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

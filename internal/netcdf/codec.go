@@ -289,6 +289,11 @@ func Decode(data []byte) (*File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netcdf: variable %q: %w", h.v.Name, err)
 		}
+		// Bound elems by the file before multiplying: a shape that fits
+		// int can still overflow once scaled by the element size.
+		if elems > len(data)/h.v.Type.Size() {
+			return nil, fmt.Errorf("netcdf: variable %q: %d elements cannot fit a file of %d bytes", h.v.Name, elems, len(data))
+		}
 		nbytes := elems * h.v.Type.Size()
 		if int(h.size) != pad4(nbytes) {
 			return nil, fmt.Errorf("netcdf: variable %q: vsize %d, want %d", h.v.Name, h.size, pad4(nbytes))

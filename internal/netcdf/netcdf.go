@@ -157,13 +157,17 @@ func (f *File) Var(name string) (*Var, error) {
 }
 
 // shape returns the element count of a variable under this file's
-// dimensions.
+// dimensions. Dimension lengths come from untrusted headers, so a
+// product that overflows int is an error, not a wrapped count.
 func (f *File) shape(dims []string) (int, error) {
 	n := 1
 	for _, d := range dims {
 		l, err := f.DimLen(d)
 		if err != nil {
 			return 0, err
+		}
+		if n > math.MaxInt/l {
+			return 0, fmt.Errorf("netcdf: shape %v overflows", dims)
 		}
 		n *= l
 	}

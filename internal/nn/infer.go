@@ -4,9 +4,9 @@
 // the serving path:
 //
 //   - No state is saved for Backward, so one model can serve concurrent
-//     calls as long as each caller brings its own allocator (an arena
-//     shard from tensor.ShardedArena.Acquire, or a private Arena).
-//   - Scratch and output buffers come from a tensor.Allocator, so
+//     calls as long as each caller brings its own arena (a shard from
+//     tensor.ShardedArena.Acquire, or a private tensor.NewLocal).
+//   - Scratch and output buffers come from a *tensor.LocalArena, so
 //     steady-state inference recycles memory instead of regrowing the
 //     heap every batch.
 //
@@ -26,7 +26,7 @@
 //
 // Buffer ownership: a layer's Infer/InferBatch may return an
 // arena-owned tensor or a view of its input (reshapes). The Sequential
-// drivers recycle each intermediate back into the allocator once the
+// drivers recycle each intermediate back into the arena once the
 // next layer has consumed it, except when the next output aliases it.
 // The tensor returned to the caller is arena-owned: the caller must
 // copy out what it keeps and should Put the tensor back. Never Put the
@@ -54,7 +54,7 @@ func sameBase(a, b *tensor.T) bool {
 // Infer computes the convolution through the fused direct kernel,
 // skipping the im2col matrix entirely — for single-file batches that
 // matrix is 9× the input and dominates the memory traffic.
-func (l *Conv2D) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Conv2D) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	g := l.geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d %d %d]", l.label, x.Shape, g.InC, g.InH, g.InW))
@@ -79,7 +79,7 @@ func (l *Conv2D) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
 // the whole batch, with both the column matrix and the product living
 // in arena scratch. Weights stay in their training layout [InC*K*K,
 // OutC], so no per-call transpose is needed.
-func (l *Conv2D) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Conv2D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	g := l.geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d %d %d]", l.label, x.Shape, g.InC, g.InH, g.InW))
@@ -134,7 +134,7 @@ func (l *Conv2D) quantWeights() *tensor.QWeights {
 // gathered into an int8 column matrix, and one int8×int8→int32 GEMM
 // rescales directly into the float product. Bias addition and the NCHW
 // epilogue stay in float32, identical to InferBatch.
-func (l *Conv2D) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Conv2D) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	g := l.geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d %d %d]", l.label, x.Shape, g.InC, g.InH, g.InW))
@@ -166,7 +166,7 @@ func (l *Conv2D) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T {
 }
 
 // Infer computes x·W + b into an arena buffer.
-func (l *Dense) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Dense) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	if len(x.Shape) != 2 || x.Shape[1] != l.in {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d]", l.label, x.Shape, l.in))
 	}
@@ -183,7 +183,7 @@ func (l *Dense) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
 }
 
 // InferBatch is Infer: a dense layer is already one batch-wide GEMM.
-func (l *Dense) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Dense) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // invalidateQuant drops the cached int8 weights (see Conv2D).
 func (l *Dense) invalidateQuant() {
@@ -205,7 +205,7 @@ func (l *Dense) quantWeights() *tensor.QWeights {
 // InferBatchQ8 computes x·W + b with the GEMM in symmetric int8: x is
 // quantized per tensor, W per output channel, and the int32 accumulator
 // rescales straight into the float output before the float bias add.
-func (l *Dense) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Dense) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	if len(x.Shape) != 2 || x.Shape[1] != l.in {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d]", l.label, x.Shape, l.in))
 	}
@@ -227,7 +227,7 @@ func (l *Dense) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T {
 }
 
 // Infer applies the activation into an arena buffer.
-func (l *LeakyReLU) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *LeakyReLU) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	out := a.Get(x.Shape...)
 	for i, v := range x.Data {
 		if v < 0 {
@@ -239,14 +239,14 @@ func (l *LeakyReLU) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
 }
 
 // InferBatch is Infer: the activation is elementwise either way.
-func (l *LeakyReLU) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *LeakyReLU) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: activations stay in float32; only GEMM layers
 // quantize.
-func (l *LeakyReLU) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *LeakyReLU) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // Infer applies the logistic function into an arena buffer.
-func (l *Sigmoid) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Sigmoid) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	out := a.Get(x.Shape...)
 	for i, v := range x.Data {
 		out.Data[i] = sigmoid32(v)
@@ -255,54 +255,51 @@ func (l *Sigmoid) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
 }
 
 // InferBatch is Infer: the activation is elementwise either way.
-func (l *Sigmoid) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Sigmoid) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: activations stay in float32.
-func (l *Sigmoid) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Sigmoid) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // Infer returns a flattened view; no buffer changes hands.
-func (l *Flatten) Infer(x *tensor.T, _ tensor.Allocator) *tensor.T {
+func (l *Flatten) Infer(x *tensor.T, _ *tensor.LocalArena) *tensor.T {
 	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
 }
 
 // InferBatch is Infer: reshapes are free at any batch size.
-func (l *Flatten) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Flatten) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: reshapes carry no arithmetic to quantize.
-func (l *Flatten) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Flatten) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // Infer returns an NCHW view; no buffer changes hands.
-func (l *Reshape4D) Infer(x *tensor.T, _ tensor.Allocator) *tensor.T {
+func (l *Reshape4D) Infer(x *tensor.T, _ *tensor.LocalArena) *tensor.T {
 	return x.Reshape(x.Shape[0], l.c, l.h, l.w)
 }
 
 // InferBatch is Infer: reshapes are free at any batch size.
-func (l *Reshape4D) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Reshape4D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: reshapes carry no arithmetic to quantize.
-func (l *Reshape4D) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Reshape4D) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // Infer upsamples into an arena buffer.
-func (l *Upsample2x) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
+func (l *Upsample2x) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	out := a.Get(x.Shape[0], x.Shape[1], 2*x.Shape[2], 2*x.Shape[3])
 	tensor.Upsample2xInto(x, out)
 	return out
 }
 
 // InferBatch is Infer: the copy pattern is batch-size agnostic.
-func (l *Upsample2x) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Upsample2x) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: nearest-neighbor copies carry no arithmetic.
-func (l *Upsample2x) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) }
+func (l *Upsample2x) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // run drives the layer chain through step, recycling every intermediate
-// buffer back into the allocator as soon as the next layer has consumed
+// buffer back into the arena as soon as the next layer has consumed
 // it (unless the new output aliases it — a reshape view — or the
 // caller's own input).
-func (s *Sequential) run(x *tensor.T, a tensor.Allocator, step func(Layer, *tensor.T, tensor.Allocator) *tensor.T) *tensor.T {
-	if a == nil {
-		a = (*tensor.Arena)(nil) // degrade to plain allocation
-	}
+func (s *Sequential) run(x *tensor.T, a *tensor.LocalArena, step func(Layer, *tensor.T, *tensor.LocalArena) *tensor.T) *tensor.T {
 	cur := x
 	for _, l := range s.Layers {
 		next := step(l, cur, a)
@@ -317,21 +314,21 @@ func (s *Sequential) run(x *tensor.T, a tensor.Allocator, step func(Layer, *tens
 // Infer runs all layers through the fused small-batch kernels. The
 // returned tensor is arena-owned; the caller copies out what it keeps
 // and Puts it back.
-func (s *Sequential) Infer(x *tensor.T, a tensor.Allocator) *tensor.T {
-	return s.run(x, a, func(l Layer, x *tensor.T, a tensor.Allocator) *tensor.T { return l.Infer(x, a) })
+func (s *Sequential) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
+	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) })
 }
 
 // InferBatch runs all layers through the batch-GEMM kernels: one
 // blocked matmul per layer for the whole batch. Same ownership contract
 // as Infer.
-func (s *Sequential) InferBatch(x *tensor.T, a tensor.Allocator) *tensor.T {
-	return s.run(x, a, func(l Layer, x *tensor.T, a tensor.Allocator) *tensor.T { return l.InferBatch(x, a) })
+func (s *Sequential) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T {
+	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.InferBatch(x, a) })
 }
 
 // InferBatchQ8 runs all layers through the symmetric int8 GEMM kernels;
 // InferBatch is its accuracy oracle (ricc pins the divergence with a
 // cosine-similarity floor and a label-flip gate). Same ownership
 // contract as Infer.
-func (s *Sequential) InferBatchQ8(x *tensor.T, a tensor.Allocator) *tensor.T {
-	return s.run(x, a, func(l Layer, x *tensor.T, a tensor.Allocator) *tensor.T { return l.InferBatchQ8(x, a) })
+func (s *Sequential) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T {
+	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.InferBatchQ8(x, a) })
 }

@@ -56,7 +56,7 @@ func TestInferMatchesForward(t *testing.T) {
 		x.Data[i] = float32(r.Float64())
 	}
 	want := model.Forward(x)
-	arena := tensor.NewArena()
+	arena := tensor.NewLocal()
 	for pass := 0; pass < 3; pass++ { // repeated passes hit recycled buffers
 		got := model.Infer(x, arena)
 		if !got.SameShape(want) {
@@ -99,7 +99,7 @@ func TestInferConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := tensor.NewArena()
+			arena := tensor.NewLocal()
 			for iter := 0; iter < 5; iter++ {
 				got := model.Infer(x, arena)
 				if d := inferDiff(got, want); d > 1e-5 {
@@ -200,7 +200,7 @@ func TestInferBatchQ8Deterministic(t *testing.T) {
 		x.Data[i] = float32(r.Float64())
 	}
 	first := model.InferBatchQ8(x, nil)
-	arena := tensor.NewArena()
+	arena := tensor.NewLocal()
 	for pass := 0; pass < 3; pass++ {
 		got := model.InferBatchQ8(x, arena)
 		for i := range first.Data {
@@ -224,7 +224,7 @@ func TestInferBatchQ8RequantizesAfterForward(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(r.Float64())
 	}
-	a := (*tensor.Arena)(nil) // direct layer call: degrade to plain allocation
+	var a *tensor.LocalArena // direct layer call: degrade to plain allocation
 	before := d.InferBatchQ8(x, a)
 	d.Forward(x) // the training path: invalidates the quantized cache
 	for i := range d.w.W.Data {

@@ -1,3 +1,7 @@
+// Package pipereg is the workflow control plane's run registry: every
+// run submitted to the HTTP run API (internal/serve) is tracked here
+// from pending through running to a terminal state, with a bound on how
+// many execute at once and how many finished runs stay inspectable.
 package pipereg
 
 import (

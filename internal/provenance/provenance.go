@@ -1,8 +1,6 @@
-// Package provenance records workflow lineage and component schemas —
-// the reproducibility layer the paper's §V.A calls for: "integrate
-// advanced provenance tracking and telemetry tools for real-time workflow
-// insights" and "publishing clear input and output schemas for each
-// workflow component".
+// Package provenance records workflow lineage — the reproducibility
+// layer the paper's §V.A calls for: "integrate advanced provenance
+// tracking and telemetry tools for real-time workflow insights".
 //
 // The model follows W3C PROV's core triangle, trimmed to what the EO-ML
 // workflow needs:
@@ -13,9 +11,6 @@
 //     shipment) consuming and producing entities;
 //   - lineage queries walk backwards from any entity to the activities
 //     and source entities it was derived from.
-//
-// A SchemaRegistry declares each component's expected inputs/outputs so a
-// workflow composer can detect mismatched pipelines before running them.
 package provenance
 
 import (

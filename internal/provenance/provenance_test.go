@@ -158,61 +158,3 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal("garbage import accepted")
 	}
 }
-
-func TestSchemaRegistry(t *testing.T) {
-	r := NewSchemaRegistry()
-	for _, s := range EOMLSchemas() {
-		if err := r.Register(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.Components(); len(got) != 4 || got[0] != "download" {
-		t.Fatalf("components = %v", got)
-	}
-	// The published pipeline composes.
-	if err := r.ValidateChain([]string{"download", "preprocess", "inference", "shipment"}); err != nil {
-		t.Fatalf("published chain invalid: %v", err)
-	}
-	// A mis-ordered chain fails.
-	if err := r.ValidateChain([]string{"download", "inference"}); err == nil {
-		t.Fatal("download->inference accepted (no tiles produced)")
-	}
-	// Bindings validate by kind.
-	if err := r.ValidateBinding("inference", map[string]string{"tiles": "tiles"}); err != nil {
-		t.Fatalf("optional model should be skippable: %v", err)
-	}
-	if err := r.ValidateBinding("inference", map[string]string{"tiles": "granule"}); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-	if err := r.ValidateBinding("inference", map[string]string{}); err == nil {
-		t.Fatal("missing required input accepted")
-	}
-	if err := r.ValidateBinding("inference", map[string]string{"tiles": "tiles", "bogus": "x"}); err == nil {
-		t.Fatal("unknown input accepted")
-	}
-	if err := r.ValidateBinding("nope", nil); err == nil {
-		t.Fatal("unknown component accepted")
-	}
-}
-
-func TestSchemaValidation(t *testing.T) {
-	r := NewSchemaRegistry()
-	bad := []Schema{
-		{},
-		{Component: "x", Inputs: []Field{{Name: "", Kind: "k"}}},
-		{Component: "x", Inputs: []Field{{Name: "a", Kind: ""}}},
-		{Component: "x", Inputs: []Field{{Name: "a", Kind: "k"}, {Name: "a", Kind: "k"}}},
-	}
-	for i, s := range bad {
-		if err := r.Register(s); err == nil {
-			t.Errorf("schema %d accepted", i)
-		}
-	}
-	ok := Schema{Component: "x", Inputs: []Field{{Name: "a", Kind: "k"}}}
-	if err := r.Register(ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(ok); err == nil {
-		t.Error("duplicate schema accepted")
-	}
-}

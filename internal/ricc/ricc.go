@@ -76,10 +76,6 @@ type Model struct {
 	// on the per-tensor fast path and steady-state serving stops
 	// regrowing the heap.
 	shards *tensor.ShardedArena
-	// locked is the previous sync.Pool-backed arena, kept as the
-	// contended oracle EncodeLocked (and BenchmarkEncodeArena) measures
-	// the sharded design against.
-	locked *tensor.Arena
 }
 
 // NewModel builds an untrained model with deterministic initialization.
@@ -126,7 +122,7 @@ func NewModel(cfg Config) (*Model, error) {
 	)
 	return &Model{
 		Cfg: cfg, encoder: encoder, decoder: decoder,
-		shards: tensor.NewShardedArena(), locked: tensor.NewArena(),
+		shards: tensor.NewShardedArena(),
 	}, nil
 }
 
@@ -302,13 +298,13 @@ func (m *Model) Train(tiles []*tile.Tile) ([]EpochStats, error) {
 	return history, nil
 }
 
-// encodeWith is the shared encode core: pack tiles into allocator
+// encodeWith is the shared encode core: pack tiles into arena
 // buffers in bounded batches, run the encoder through the given
 // inference step (the float batch-GEMM path or the int8 path), and copy
 // the latent rows out into one caller-owned backing slab (one
 // allocation for the whole call).
-func (m *Model) encodeWith(tiles []*tile.Tile, a tensor.Allocator,
-	infer func(*tensor.T, tensor.Allocator) *tensor.T) ([][]float32, error) {
+func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
+	infer func(*tensor.T, *tensor.LocalArena) *tensor.T) ([][]float32, error) {
 	if m.Norm == nil {
 		return nil, fmt.Errorf("ricc: model has no normalizer; train or load first")
 	}
@@ -324,6 +320,10 @@ func (m *Model) encodeWith(tiles []*tile.Tile, a tensor.Allocator,
 		}
 		n := end - start
 		nb, ts := len(tiles[start].Bands), tiles[start].TileSize
+		if nb != m.Cfg.Channels || ts != m.Cfg.TileSize {
+			return nil, fmt.Errorf("ricc: %d-band %d×%d tiles, model takes %d-band %d×%d",
+				nb, ts, ts, m.Cfg.Channels, m.Cfg.TileSize, m.Cfg.TileSize)
+		}
 		x := a.Get(n, nb, ts, ts)
 		if err := fillTileTensor(x, tiles[start:end], m.Norm); err != nil {
 			a.Put(x)
@@ -370,15 +370,6 @@ func (m *Model) EncodeBatchQ8(tiles []*tile.Tile) ([][]float32, error) {
 // there is no separate small-batch entry point.
 func (m *Model) Encode(tiles []*tile.Tile) ([][]float32, error) {
 	return m.EncodeBatch(tiles)
-}
-
-// EncodeLocked runs the same batch-GEMM kernels as EncodeBatch but
-// through the model's sync.Pool-backed Arena, which synchronizes every
-// Get/Put. It exists as the contended oracle: BenchmarkEncodeArena
-// measures the sharded path against it to keep the locking cost
-// visible.
-func (m *Model) EncodeLocked(tiles []*tile.Tile) ([][]float32, error) {
-	return m.encodeWith(tiles, m.locked, m.encoder.InferBatch)
 }
 
 // EncodeNoArena is the reference implementation of Encode with no

@@ -173,6 +173,39 @@ func TestEncodeRequiresTraining(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsTileShapeMismatch pins that tiles of another size
+// or band count than the model's are refused with an error. A tile file
+// from another writer can carry any shape, and the encoder's layers
+// panic on an input they were not built for.
+func TestEncodeRejectsTileShapeMismatch(t *testing.T) {
+	cfg := smallConfig()
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Norm, err = FitNormalizer(syntheticTiles(4, cfg.TileSize, cfg.Channels, 5)); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]*tile.Tile{
+		"tile size":  syntheticTiles(2, cfg.TileSize/2, cfg.Channels, 6),
+		"band count": syntheticTiles(2, cfg.TileSize, cfg.Channels-1, 6),
+	}
+	for name, tiles := range cases {
+		for _, encode := range []func([]*tile.Tile) ([][]float32, error){m.EncodeBatch, m.EncodeBatchQ8} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: panic: %v", name, r)
+					}
+				}()
+				if _, err := encode(tiles); err == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+		}
+	}
+}
+
 func TestSaveLoadModelRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epochs = 2

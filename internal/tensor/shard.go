@@ -1,30 +1,41 @@
 package tensor
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"github.com/eoml/eoml/internal/metrics"
 )
 
-// Allocator is the buffer source of the inference hot path: Get returns
-// a tensor of the given shape with undefined contents, Put recycles one
-// obtained from Get. GetI8/PutI8 are the same contract for the int8
-// scratch of the quantized inference path. *Arena (concurrent,
-// sync.Pool-backed) and *LocalArena (single-goroutine free lists) both
-// implement it, so the nn.Layer inference code is agnostic to the
-// pooling strategy.
-type Allocator interface {
-	Get(shape ...int) *T
-	Put(t *T)
-	GetI8(n int) []int8
-	PutI8(s []int8)
+// arenaBuckets caps the pooled size classes at 2^27 floats (512 MiB);
+// larger tensors bypass the free lists.
+const arenaBuckets = 28
+
+// bucketFor returns the smallest b with 1<<b >= n.
+func bucketFor(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
 }
 
 // LocalArena recycles tensor buffers in power-of-two size classes for a
 // single goroutine: plain slice free lists, no locks, no atomics on the
 // Get/Put fast path. Obtain one from ShardedArena.Acquire (or NewLocal
-// for a purely private arena) and keep it on one goroutine.
+// for a purely private arena) and keep it on one goroutine. It is the
+// buffer source of the inference hot path (nn.Layer.Infer and friends).
+//
+// Lifecycle rules (see DESIGN.md §8):
+//   - Get returns a tensor with UNDEFINED contents; callers must
+//     overwrite every element (all Into kernels in this package do).
+//   - Put recycles a tensor obtained from Get. Never Put a view
+//     (Reshape result) or a tensor handed to an external caller; the
+//     owner of a returned tensor is whoever the API gave it to.
+//   - GetI8/PutI8 are the same contract for the int8 scratch of the
+//     quantized inference path.
+//   - A nil *LocalArena is valid and degrades to plain New/no-op Put, so
+//     the same code path serves pooled and unpooled callers.
 type LocalArena struct {
 	free   [arenaBuckets][]*T
 	freeI8 [arenaBuckets][][]int8
@@ -149,14 +160,11 @@ func (a *LocalArena) Stats() (gets, news, puts int64) {
 
 // ShardedArena is a checkout pool of LocalArenas: one shard per
 // concurrently running worker, each shard keeping the warm buffers of
-// the workloads it served. The size-bucketed Arena pays a synchronized
-// sync.Pool Get/Put on every tensor and can lose its buffers to GC pool
-// purging mid-run; the encode hot path has stronger structure — one
-// worker (an Encode call, a tile-extraction granule) owns all of its
-// scratch for the span of the call — so ShardedArena hands each worker
-// a private LocalArena instead: zero synchronization on the per-tensor
-// fast path, one mutex acquire/release per *call* to check the shard in
-// and out. Shards are created on demand, so the steady state holds
+// the workloads it served. One worker (an Encode call, a
+// tile-extraction granule) owns all of its scratch for the span of the
+// call, so ShardedArena hands each worker a private LocalArena: zero
+// synchronization on the per-tensor fast path, one mutex
+// acquire/release per *call* to check the shard in and out. Shards are created on demand, so the steady state holds
 // exactly as many shards as the peak concurrency, and an idle shard
 // keeps its free lists (nothing is purged behind the worker's back).
 //
@@ -168,7 +176,7 @@ func (a *LocalArena) Stats() (gets, news, puts int64) {
 //   - A shard must never be shared across goroutines between Acquire
 //     and Release, and never used after Release.
 //   - A nil *ShardedArena degrades to nil shards and plain allocation,
-//     mirroring the nil *Arena contract.
+//     mirroring the nil *LocalArena contract.
 type ShardedArena struct {
 	mu     sync.Mutex
 	idle   []*LocalArena
@@ -238,8 +246,7 @@ func (s *ShardedArena) Stats() (gets, news, puts int64) {
 }
 
 // Instrument exports the aggregate hit/miss/outstanding counters of all
-// shards to reg under the given arena label, using the same series the
-// contended Arena exports. Safe on a nil arena or nil registry, and safe
+// shards to reg under the given arena label. Safe on a nil arena or nil registry, and safe
 // to call more than once for the same registry and label (batch + stream
 // runs in one process): re-registering replaces the reader functions, so
 // the series are never double-counted.

@@ -30,6 +30,18 @@ func TestLocalArenaReusesBuffers(t *testing.T) {
 	a.Put(nil) // must not panic
 }
 
+func TestArenaBucketBoundaries(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 63, 64, 65, 1023, 1024, 1025} {
+		b := bucketFor(n)
+		if 1<<b < n {
+			t.Fatalf("bucketFor(%d) = %d: class too small", n, b)
+		}
+		if b > 0 && 1<<(b-1) >= n {
+			t.Fatalf("bucketFor(%d) = %d: class not minimal", n, b)
+		}
+	}
+}
+
 func TestNilLocalArenaDegradesToNew(t *testing.T) {
 	var a *LocalArena
 	x := a.Get(2, 3)
@@ -155,9 +167,9 @@ func arenaSeriesValue(t *testing.T, reg *metrics.Registry, name, arena string) f
 }
 
 // TestInstrumentTwiceDoesNotDoubleCount pins the double-registration
-// guard for both arena flavors: a process that runs a batch pipeline and
-// then a streaming pipeline instruments the same model arena into the
-// same registry twice, which must neither panic nor double the series.
+// guard: a process that runs a batch pipeline and then a streaming
+// pipeline instruments the same model arena into the same registry
+// twice, which must neither panic nor double the series.
 func TestInstrumentTwiceDoesNotDoubleCount(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		s := NewShardedArena()
@@ -172,16 +184,6 @@ func TestInstrumentTwiceDoesNotDoubleCount(t *testing.T) {
 		}
 		if got := arenaSeriesValue(t, reg, "eoml_arena_outstanding", "ricc"); got != 0 {
 			t.Fatalf("outstanding after double Instrument = %v, want 0", got)
-		}
-	})
-	t.Run("contended", func(t *testing.T) {
-		a := NewArena()
-		a.Put(a.Get(64))
-		reg := metrics.NewRegistry()
-		a.Instrument(reg, "ricc")
-		a.Instrument(reg, "ricc")
-		if got := arenaSeriesValue(t, reg, "eoml_arena_misses_total", "ricc"); got != 1 {
-			t.Fatalf("misses after double Instrument = %v, want 1", got)
 		}
 	})
 	t.Run("successor-takes-over", func(t *testing.T) {

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/eoml/eoml/internal/modis"
 	"github.com/eoml/eoml/internal/netcdf"
@@ -137,71 +138,91 @@ func ToNetCDF(tiles []*Tile) (*netcdf.File, error) {
 	return f, nil
 }
 
-// FromNetCDF reconstructs tiles from a file written by ToNetCDF.
+// FromNetCDF reconstructs tiles from a file written by ToNetCDF. The
+// file may come from any writer, so every variable must span exactly
+// the dimensions ToNetCDF gives it before it is indexed: the netcdf
+// layer guarantees a variable's length is the product of its
+// dimensions, so radiance then holds tile×band×y×x values and every
+// per-tile variable holds one value per tile.
 func FromNetCDF(f *netcdf.File) ([]*Tile, error) {
-	ntiles, err := f.DimLen(dimTile)
-	if err != nil {
-		return nil, err
+	radDims, tileDims := []string{dimTile, dimBand, dimY, dimX}, []string{dimTile}
+	lens := make([]int, len(radDims))
+	for i, name := range radDims {
+		n, err := f.DimLen(name)
+		if err != nil {
+			return nil, err
+		}
+		lens[i] = n
 	}
-	nb, err := f.DimLen(dimBand)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := f.DimLen(dimY)
-	if err != nil {
-		return nil, err
+	ntiles, nb, ts := lens[0], lens[1], lens[2]
+	if lens[3] != ts {
+		return nil, fmt.Errorf("tile: %d×%d tiles are not square", ts, lens[3])
 	}
 	granule, _ := f.Attrs.GetString("granule")
 	bandAttr, _ := f.Attrs.GetInts("bands")
+	if len(bandAttr) != nb {
+		return nil, fmt.Errorf("tile: bands attribute lists %d bands, band dimension is %d", len(bandAttr), nb)
+	}
 	bands := make([]int, len(bandAttr))
 	for i, b := range bandAttr {
 		bands[i] = int(b)
 	}
 
-	getF := func(name string) ([]float32, error) {
+	// shaped returns the named variable after checking it spans dims.
+	shaped := func(name string, dims []string) (*netcdf.Var, error) {
 		v, err := f.Var(name)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Equal(v.Dims, dims) {
+			return nil, fmt.Errorf("tile: variable %q has dimensions %v, want %v", name, v.Dims, dims)
+		}
+		return v, nil
+	}
+	getF := func(name string, dims []string) ([]float32, error) {
+		v, err := shaped(name, dims)
 		if err != nil {
 			return nil, err
 		}
 		return v.Float32s()
 	}
-	rad, err := getF("radiance")
+	rad, err := getF("radiance", radDims)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := getF("latitude")
+	lat, err := getF("latitude", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	lon, err := getF("longitude")
+	lon, err := getF("longitude", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	cf, err := getF("cloud_fraction")
+	cf, err := getF("cloud_fraction", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	ctp, err := getF("cloud_top_pressure")
+	ctp, err := getF("cloud_top_pressure", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	cot, err := getF("cloud_optical_thickness")
+	cot, err := getF("cloud_optical_thickness", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	cer, err := getF("cloud_effective_radius")
+	cer, err := getF("cloud_effective_radius", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	cwp, err := getF("cloud_water_path")
+	cwp, err := getF("cloud_water_path", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	icef, err := getF("ice_phase_fraction")
+	icef, err := getF("ice_phase_fraction", tileDims)
 	if err != nil {
 		return nil, err
 	}
-	rowV, err := f.Var("tile_row")
+	rowV, err := shaped("tile_row", tileDims)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +230,7 @@ func FromNetCDF(f *netcdf.File) ([]*Tile, error) {
 	if err != nil {
 		return nil, err
 	}
-	colV, err := f.Var("tile_col")
+	colV, err := shaped("tile_col", tileDims)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +238,7 @@ func FromNetCDF(f *netcdf.File) ([]*Tile, error) {
 	if err != nil {
 		return nil, err
 	}
-	labV, err := f.Var("label")
+	labV, err := shaped("label", tileDims)
 	if err != nil {
 		return nil, err
 	}
