@@ -57,15 +57,17 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing pass over the three parsers that consume untrusted
-# bytes: the yamlite config parser, the HDF granule decoder and the
-# NetCDF tile-file decoder. $(FUZZTIME) per target; any crasher found
+# Short fuzzing pass over the parsers that consume untrusted bytes: the
+# yamlite config parser, the HDF granule decoder, the NetCDF tile-file
+# decoder and the fleet wire (a worker's /run body, granule references
+# and granule results). $(FUZZTIME) per target; any crasher found
 # lands in testdata/fuzz/ and from then on runs as a plain regression
 # test under `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/yamlite -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netcdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzGranuleWire -fuzztime $(FUZZTIME)
 
 # Hot-path benchmarks (kernels, arena, batching, tile throughput),
 # emitted as a machine-readable record via cmd/benchjson. Runs each

@@ -1,10 +1,13 @@
 // Command eoml-worker is one fleet worker process: it serves the
 // granule kernel (fetch, extract tiles, label, publish the labeled
-// file) on a local compute endpoint, registers that endpoint with a
-// control plane started as `eoml serve -fleet`, heartbeats to stay
-// live, and drains gracefully on SIGINT. Tasks arrive as granule *references* — shared-storage
-// paths plus archive coordinates — never bytes, so a worker can run at
-// another facility and fetch its own inputs.
+// file) over HTTP, registers its URL with a control plane started as
+// `eoml serve -fleet`, heartbeats to stay live, and drains gracefully
+// on SIGINT. Each lease is one POST /run that the worker answers when
+// the task settles; a lease the coordinator drops is canceled here
+// too, and a draining worker finishes and answers the leases it holds.
+// Tasks arrive as granule *references* — shared-storage paths plus
+// archive coordinates — never bytes, so a worker can run at another
+// facility and fetch its own inputs.
 //
 //	eoml serve -addr localhost:8080 -fleet        # control plane
 //	eoml-worker -coordinator http://localhost:8080
@@ -38,8 +41,8 @@ import (
 func main() {
 	id := flag.String("id", "", "worker identity; default worker-<hostname>-<pid>")
 	coordinator := flag.String("coordinator", "http://localhost:8080", "control-plane base URL hosting the /fleet/ membership API")
-	listen := flag.String("listen", "127.0.0.1:0", "task endpoint listen address (0 = OS-assigned port)")
-	advertise := flag.String("advertise", "", "endpoint URL to register instead of the listen address (NAT / multi-facility)")
+	listen := flag.String("listen", "127.0.0.1:0", "task listen address (0 = OS-assigned port)")
+	advertise := flag.String("advertise", "", "URL to register instead of the listen address (NAT / multi-facility)")
 	slots := flag.Int("slots", 1, "granule tasks computing (decode, tile, label, write) at once")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-task execution bound, including the wait for a compute slot (0 = none)")
 	prefetch := flag.Int("prefetch", 2, "granule leases beyond -slots, fetching ahead of a free compute slot (0 = none); extends registered capacity by the same amount")

@@ -129,9 +129,11 @@ func NewFleetCoordinator(cfg FleetConfig) *FleetCoordinator {
 	return fleet.NewCoordinator(cfg)
 }
 
-// FleetWorker is one worker process runtime: a compute endpoint serving
-// the tile-extraction and labeling kernels, registered and heartbeating
-// with the coordinator. cmd/eoml-worker is a thin main around it.
+// FleetWorker is one worker process runtime: it serves the granule
+// kernel (fetch, tile, label, publish) over HTTP, running each leased
+// task inside the one request that leased it, and registers and
+// heartbeats with the coordinator. cmd/eoml-worker is a thin main
+// around it.
 type FleetWorker = fleet.Worker
 
 // FleetWorkerConfig tunes a FleetWorker.

@@ -177,7 +177,8 @@ func (c *DownloadCache) SizeBytes() int64 {
 // hit links (or copies) the verified entry into place without touching
 // the archive; a miss runs fill — which must download the file to the
 // returned path — and then ingests the result into the cache.
-// Concurrent fetches of one key coalesce onto a single fill.
+// Concurrent fetches of one key coalesce onto a single fill; a waiter
+// whose leader's fill fails retries as the new leader.
 //
 // The returned hit is true when this call made no archive fetch of its
 // own: a resident entry, or a wait coalesced onto another caller's fill.
@@ -215,7 +216,10 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 				return "", false, ctx.Err()
 			}
 			if call.err != nil {
-				return "", false, call.err
+				// The leader failed, possibly on its own canceled lease:
+				// retry as the new leader, so one lease's cancellation
+				// never fails another's fetch.
+				continue
 			}
 			served = &c.coalesced
 			if call.path == dest {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,6 +239,70 @@ func TestDownloadCacheSingleflight(t *testing.T) {
 	}
 	if hits, _, _ := cache.Stats(); hits != 1 {
 		t.Fatalf("warm fetch counted %d hits, want 1", hits)
+	}
+}
+
+// TestDownloadCacheWaiterOutlivesCanceledLeader: a fetch parked on
+// another caller's fill does not inherit that fill's failure. When the
+// leader's own context is canceled mid-fill, the waiter retries as the
+// new leader and succeeds.
+func TestDownloadCacheWaiterOutlivesCanceledLeader(t *testing.T) {
+	cache, err := NewDownloadCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	var calls atomic.Int64
+	filling := make(chan struct{})
+	fill := func(destDir string) func(context.Context) (string, error) {
+		return func(ctx context.Context) (string, error) {
+			if calls.Add(1) == 1 {
+				close(filling)
+				<-ctx.Done() // the first fill lasts until its lease is dropped
+				return "", ctx.Err()
+			}
+			path := filepath.Join(destDir, key.Name)
+			return path, os.WriteFile(path, []byte("data"), 0o644)
+		}
+	}
+
+	leaderCtx, drop := context.WithCancel(context.Background())
+	defer drop()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := cache.Fetch(leaderCtx, key, t.TempDir(), fill(t.TempDir()))
+		leaderDone <- err
+	}()
+	<-filling
+	waiterDir := t.TempDir()
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := cache.Fetch(context.Background(), key, waiterDir, fill(waiterDir))
+		waiterDone <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		cache.mu.Lock()
+		waiting := cache.inflight[key.hash()].waiters
+		cache.mu.Unlock()
+		if waiting == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second fetch never parked on the first fill")
+		}
+	}
+	drop()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled leader = %v, want context.Canceled", err)
+	}
+	if err := <-waiterDone; err != nil {
+		t.Fatalf("waiter failed with its canceled leader: %v", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("fill ran %d times, want 2 (the canceled leader, then the waiter)", n)
+	}
+	if _, err := os.Stat(filepath.Join(waiterDir, key.Name)); err != nil {
+		t.Fatalf("waiter's file: %v", err)
 	}
 }
 

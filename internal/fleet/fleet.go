@@ -1,12 +1,13 @@
 // Package fleet is the real multi-process distribution layer: a
 // coordinator that leases granule tasks (fetch, tile, label, publish:
 // one lease per granule) to a pool of worker processes
-// (cmd/eoml-worker) over the compute fabric's HTTP transport. Workers
-// register their endpoint URL with the coordinator, send heartbeats, and
-// execute tasks that ship granule *references* — paths on shared storage
-// plus archive credentials for workers without one — never granule
-// bytes. The coordinator provides what the paper's multi-facility
-// setting demands of a scheduler: per-worker in-flight bounds, lease +
+// (cmd/eoml-worker), each lease one HTTP request that the worker
+// answers when the task settles. Workers serve a compute.Registry,
+// register their URL with the coordinator, send heartbeats, and execute
+// tasks that ship granule *references* — paths on shared storage plus
+// archive credentials for workers without one — never granule bytes.
+// The coordinator provides what the paper's multi-facility setting
+// demands of a scheduler: per-worker in-flight bounds, lease +
 // requeue when a worker's heartbeats stop, speculative work stealing
 // from stragglers (safe because the kernel writes its output atomically
 // and deterministically, so a duplicated task is idempotent).
@@ -27,11 +28,11 @@ import (
 	"github.com/eoml/eoml/internal/metrics"
 )
 
-// Transport executes one task on a worker endpoint and blocks until the
-// task finishes. A returned *TaskError means the task function itself
-// failed (fatal for the task); any other error is a transport failure
-// (worker unreachable, endpoint draining) and the coordinator requeues
-// the lease.
+// Transport executes one task on a worker and blocks until the task
+// finishes; canceling ctx cancels the task. A returned *TaskError means
+// the task failed on the worker (fatal for the task); any other error is
+// a transport failure (worker unreachable or gone, or an error
+// wrapping compute.ErrDraining) and the coordinator requeues the lease.
 type Transport interface {
 	Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error)
 }
@@ -60,8 +61,7 @@ type Config struct {
 	// atomically and deterministically, so duplication is safe.
 	// 0 means the default 10s; negative disables stealing.
 	StealAfter time.Duration
-	// Transport executes tasks on workers; default is the compute HTTP
-	// transport.
+	// Transport executes tasks on workers; default is HTTPTransport.
 	Transport Transport
 	// Clock replaces the time source (tests). Default time.Now.
 	Clock func() time.Time
@@ -81,7 +81,7 @@ func (c Config) withDefaults() Config {
 		c.StealAfter = 10 * time.Second
 	}
 	if c.Transport == nil {
-		c.Transport = NewHTTPTransport()
+		c.Transport = HTTPTransport{}
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -286,8 +286,8 @@ func (c *Coordinator) Heartbeat(id string) bool {
 }
 
 // Deregister removes a worker gracefully. In-flight leases are left to
-// finish; if the worker's endpoint is already gone their transport
-// calls fail and the leases requeue.
+// finish: a draining worker still answers them. If the worker is already
+// gone their requests fail and the leases requeue.
 func (c *Coordinator) Deregister(id string) {
 	c.mu.Lock()
 	delete(c.workers, id)
@@ -459,7 +459,8 @@ func (c *Coordinator) completeLocked(t *task, result any, err error) {
 		c.completed.Add(1)
 	}
 	// Cancel the task context: any straggler duplicate still executing
-	// aborts its transport call instead of wasting the worker.
+	// aborts its transport call, which cancels its task on the worker,
+	// instead of wasting the worker.
 	t.detach()
 	t.cancel()
 	t.fut.complete(result, err)
@@ -551,8 +552,8 @@ func (c *Coordinator) execute(t *task, w *worker) {
 		c.completeLocked(t, nil, err)
 	default:
 		// Transport failure: requeue the lease. A non-drain failure
-		// (connection refused, poll error) is strong evidence the
-		// worker process died, so evict it now instead of waiting out
+		// (connection refused or cut) is strong evidence the worker
+		// process died, so evict it now instead of waiting out
 		// its heartbeat budget; a draining worker is shutting down
 		// cleanly and deregisters itself.
 		c.requeueLocked(t, err)

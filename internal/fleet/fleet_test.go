@@ -168,9 +168,9 @@ func TestFleetDrainingRequeue(t *testing.T) {
 			first := calls == 1
 			mu.Unlock()
 			if first {
-				// What RemoteEndpoint.Submit returns when the worker's
-				// endpoint answered 503 mid-drain.
-				return nil, fmt.Errorf("compute: submit: endpoint draining: %w", compute.ErrDraining)
+				// What HTTPTransport.Run returns when the worker
+				// answered 503 mid-drain.
+				return nil, fmt.Errorf("fleet: run on http://w: 503 Service Unavailable: %w", compute.ErrDraining)
 			}
 			return "ok", nil
 		}),

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"github.com/eoml/eoml/internal/core"
 	"github.com/eoml/eoml/internal/fleet"
 	"github.com/eoml/eoml/internal/hdf"
+	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/modis"
 	"github.com/eoml/eoml/internal/provenance"
@@ -25,7 +28,7 @@ import (
 )
 
 // granuleKernel returns the worker-side granule function of a fresh
-// kernel set — what a worker's endpoint would run for a lease.
+// kernel set — what a worker would run for a lease.
 func granuleKernel(t *testing.T) compute.Function {
 	t.Helper()
 	reg := compute.NewRegistry()
@@ -321,28 +324,113 @@ func TestWorkerFetchesAheadOfItsComputeSlots(t *testing.T) {
 	}
 }
 
+// TestWorkerCanceledLeaseSparesSharedFetch: two runs lease the same
+// granule onto one worker with a download cache, so the second lease's
+// fetches park on the first's. Canceling the first run cancels its
+// fetches on the worker; the second lease then fetches for itself and
+// completes, instead of failing with the first run's cancellation.
+func TestWorkerCanceledLeaseSparesSharedFetch(t *testing.T) {
+	laadsSrv, err := laads.NewServer(laads.ServerConfig{ScaleDown: testScale, Token: "test-token"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold atomic.Bool
+	hold.Store(true)
+	held, release := make(chan struct{}, 8), make(chan struct{})
+	archive := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if hold.Load() {
+			// The first run's downloads hang until its lease is dropped.
+			held <- struct{}{}
+			select {
+			case <-r.Context().Done():
+			case <-release: // a failed test must not hang the archive's Close
+			}
+			return
+		}
+		laadsSrv.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(archive.Close)
+	t.Cleanup(func() { close(release) }) // runs before the archive's Close
+
+	idx := productiveGranules(t, 1, 2)[0]
+	model, codebook := trainAndSave(t, idx)
+	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Hour})
+	defer coord.Close()
+	cp := httptest.NewServer(coord.Handler())
+	defer cp.Close()
+	w, err := fleet.NewWorker(fleet.WorkerConfig{ID: "cached", CoordinatorURL: cp.URL, Slots: 2, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel() // before Stop, which waits for the leases
+	firstRun, drop := context.WithCancel(ctx)
+	defer drop()
+
+	first, err := coord.Submit(firstRun, fleet.GranuleFunction, wire(t, granuleTask(t, archive.URL, idx, model, codebook, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // the first lease leads the fill of each file in the triple
+		select {
+		case <-held:
+		case <-ctx.Done():
+			t.Fatal("the first lease never reached the archive")
+		}
+	}
+	hold.Store(false)
+	second, err := coord.Submit(ctx, fleet.GranuleFunction, wire(t, granuleTask(t, archive.URL, idx, model, codebook, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w.Kernels().CacheWaiters() != 3 {
+		if ctx.Err() != nil {
+			t.Fatal("the second lease never parked on the first lease's fills")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	drop()
+	if _, err := first.Get(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run's lease = %v, want context.Canceled", err)
+	}
+	v, err := second.Get(ctx)
+	if err != nil {
+		t.Fatalf("the other run's lease failed with the canceled one: %v", err)
+	}
+	res, err := fleet.ParseGranuleResult(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.File == "" || res.FetchedFiles != 3 {
+		t.Fatalf("second lease: %+v, want a published file and its own fetched triple", res)
+	}
+}
+
 // routedTransport runs leases in-process: each worker URL maps to the
 // granule function of that worker's kernel set, behind an optional hook
-// the test uses to hold, fail or observe a lease.
+// the test uses to hold, fail or observe a lease. The kernel runs under
+// the lease's context, as on a real worker: a lease the coordinator
+// drops is canceled.
 type routedTransport struct {
 	kernels map[string]compute.Function
 	before  func(ctx context.Context, url string, args map[string]any) error
-	after   func(url string)
+	after   func(url string, err error)
 }
 
-func (r *routedTransport) Run(ctx context.Context, url, _ string, args map[string]any) (any, error) {
+func (r *routedTransport) Run(ctx context.Context, url, _ string, args map[string]any) (v any, err error) {
+	if r.after != nil {
+		defer func() { r.after(url, err) }()
+	}
 	if r.before != nil {
 		if err := r.before(ctx, url, args); err != nil {
 			return nil, err
 		}
 	}
-	// The worker's context is its own, not the coordinator's lease: a
-	// lease the coordinator gave up on keeps computing.
-	v, err := r.kernels[url](context.Background(), args)
-	if r.after != nil {
-		r.after(url)
-	}
-	if err != nil {
+	if v, err = r.kernels[url](ctx, args); err != nil {
 		return nil, &fleet.TaskError{Msg: err.Error()}
 	}
 	return v, nil
@@ -364,10 +452,12 @@ func fleetCounter(t *testing.T, reg *metrics.Registry, name string) float64 {
 // granule task, through a whole run: the primary lease hangs, an idle
 // worker steals the granule, computes it and the run ships. Then the
 // primary finally runs its duplicate, after shipment. Exactly one result
-// is accepted and exactly one complete labeled file exists per granule;
-// the late duplicate changes nothing in the outbox or at the
-// destination — as a byte-identical rewrite when it ran on another
-// worker, as a memo hit when the thief shared the primary's process.
+// is accepted and exactly one complete labeled file exists per granule.
+// A duplicate already past its last cancellation check when the thief
+// won changes nothing in the outbox or at the destination — as a
+// byte-identical rewrite when it ran on another worker, as a memo hit
+// when the thief shared the primary's process. A duplicate whose lease
+// was canceled first publishes nothing at all.
 func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 	archive := newArchive(t)
 	granules := productiveGranules(t, 1, 2)
@@ -375,7 +465,13 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		sharedCache bool
-	}{{"thief on another worker", false}, {"thief in the primary's process", true}} {
+		canceled    bool
+	}{
+		{"thief on another worker", false, false},
+		{"thief in the primary's process", true, false},
+		{"thief on another worker, canceled duplicate", false, true},
+		{"thief in the primary's process, canceled duplicate", true, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			primary := granuleKernel(t)
 			thief := primary
@@ -393,19 +489,29 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 			release := make(chan struct{})
 			var releaseOnce sync.Once
 			releaseNow := func() { releaseOnce.Do(func() { close(release) }) }
-			duplicateDone := make(chan struct{})
+			duplicateDone := make(chan error, 1)
+			errOutOfBand := errors.New("duplicate ran past its cancellation point")
 			tr := &routedTransport{
 				kernels: map[string]compute.Function{"http://primary": primary, "http://thief": thief},
-				before: func(_ context.Context, url string, _ map[string]any) error {
-					if url == "http://primary" {
-						close(primaryIn)
-						<-release // a straggler: holds the lease past shipment
+				before: func(ctx context.Context, url string, args map[string]any) error {
+					if url != "http://primary" {
+						return nil
 					}
-					return nil
+					close(primaryIn)
+					<-release // a straggler: holds the lease past shipment
+					if tc.canceled {
+						return nil // the kernel runs under the canceled lease
+					}
+					// The duplicate passed the kernel's last ctx check
+					// before the thief won: run it to completion.
+					if _, err := primary(context.WithoutCancel(ctx), args); err != nil {
+						return err
+					}
+					return errOutOfBand
 				},
-				after: func(url string) {
+				after: func(url string, err error) {
 					if url == "http://primary" {
-						close(duplicateDone)
+						duplicateDone <- err
 					}
 				},
 			}
@@ -459,11 +565,23 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 			}
 			sameFiles(t, "dest vs outbox", dest, outbox)
 
+			published := outboxStat(t, cfg.OutboxDir)
 			releaseNow() // the straggler's duplicate runs now, after shipment
-			<-duplicateDone
+			dupErr := <-duplicateDone
 			coord.Close()
 			sameFiles(t, "outbox after the late duplicate", dirFiles(t, cfg.OutboxDir), outbox)
 			sameFiles(t, "dest after the late duplicate", dirFiles(t, cfg.DestDir), dest)
+			rewritten := !os.SameFile(published, outboxStat(t, cfg.OutboxDir))
+			switch {
+			case !tc.canceled && !errors.Is(dupErr, errOutOfBand):
+				t.Fatalf("duplicate past its cancellation point failed: %v", dupErr)
+			case tc.canceled && !tc.sharedCache && (dupErr == nil || !strings.Contains(dupErr.Error(), context.Canceled.Error())):
+				t.Fatalf("canceled duplicate = %v, want it canceled", dupErr)
+			case rewritten != (!tc.canceled && !tc.sharedCache):
+				// Only an uncanceled duplicate without the thief's memo
+				// renames its copy over the published file.
+				t.Fatalf("late duplicate rewrote the outbox file: %v, want %v", rewritten, !rewritten)
+			}
 			if got := fleetCounter(t, reg, "eoml_fleet_tasks_completed_total"); got != 1 {
 				t.Fatalf("completed = %v, want 1 (exactly once)", got)
 			}
@@ -475,6 +593,20 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// outboxStat stats the one file in a run's outbox.
+func outboxStat(t *testing.T, dir string) os.FileInfo {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("outbox %s: %d entries, %v", dir, len(entries), err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
 }
 
 // TestGranuleRequeuedAfterWorkerDeath ports the killed-worker case: the
@@ -499,7 +631,7 @@ func TestGranuleRequeuedAfterWorkerDeath(t *testing.T) {
 		}
 		died = true
 		// The victim's slot ran the whole kernel; the process died before
-		// the coordinator could poll the result.
+		// it could answer the lease.
 		if _, err := tr.kernels[url](ctx, args); err != nil {
 			return err
 		}

@@ -14,7 +14,8 @@ import (
 	"github.com/eoml/eoml/internal/compute"
 )
 
-// The fleet wire protocol extends the compute fabric with membership:
+// Both sides of the fleet wire protocol. The coordinator serves
+// membership:
 //
 //	POST /fleet/register   {"id","url","capacity"} -> {"heartbeat_seconds"}
 //	POST /fleet/heartbeat  {"id"} -> 200, or 404 when the worker was
@@ -22,9 +23,30 @@ import (
 //	POST /fleet/deregister {"id"} -> 200
 //	GET  /fleet/workers    -> {"workers": [...]}
 //
-// Task execution itself rides the compute protocol served by each
-// worker's own endpoint: one POST /submit per lease, then GET
-// /tasks/{id} until the task settles.
+// Each worker serves one verb, and a lease is one request to it:
+//
+//	POST /run {"function","args"} -> 200 {"result"} or 200 {"error"}
+//	                       when the task settles
+//
+// The worker runs the task under the request's context, so a lease the
+// coordinator drops is canceled on the worker too. A draining worker
+// closes its listener once deregistered and answers the leases it
+// already holds.
+
+// maxBody bounds every request and answer body read off the wire.
+const maxBody = 1 << 20
+
+type runRequest struct {
+	Function string         `json:"function"`
+	Args     map[string]any `json:"args"`
+}
+
+// runResponse is a settled task: Error is set exactly when the task
+// function failed.
+type runResponse struct {
+	Result any     `json:"result,omitempty"`
+	Error  *string `json:"error,omitempty"`
+}
 
 type registerRequest struct {
 	ID       string `json:"id"`
@@ -89,7 +111,7 @@ func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -209,52 +231,75 @@ func (cl *Client) post(ctx context.Context, path string, body, out any) error {
 	return nil
 }
 
-// HTTPTransport runs fleet tasks over the compute fabric's HTTP
-// protocol: submit to the worker's endpoint, poll the future until it
-// resolves. Task-function failures surface as *TaskError; everything
-// else (connection refused, drain rejection, poll failure) is a
-// transport error the coordinator requeues.
-type HTTPTransport struct {
-	// PollInterval is the future poll cadence; 0 means 5ms.
-	PollInterval time.Duration
-	// HTTP overrides the client; nil means http.DefaultClient.
-	HTTP *http.Client
+// handleRun serves POST /run: it answers once the task settles, with
+// its result or its *TaskError message.
+func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
+	var req runRequest
+	if !decodePost(rw, r, &req) {
+		return
+	}
+	result, err := w.run(r.Context(), req.Function, req.Args)
+	resp := runResponse{Result: result}
+	var taskErr *TaskError
+	switch {
+	case errors.As(err, &taskErr):
+		resp = runResponse{Error: &taskErr.Msg}
+	case err != nil:
+		// The lease ended before a slot came free: nobody reads the
+		// answer.
+		return
+	}
+	raw, err := json.Marshal(resp)
+	if err != nil {
+		// A result JSON cannot carry fails the task, not the worker.
+		msg := fmt.Sprintf("fleet: task result: %v", err)
+		raw, _ = json.Marshal(runResponse{Error: &msg})
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	_, _ = rw.Write(raw)
 }
 
-// NewHTTPTransport returns a transport with default polling.
-func NewHTTPTransport() *HTTPTransport {
-	return &HTTPTransport{PollInterval: 5 * time.Millisecond}
-}
+// HTTPTransport runs fleet tasks on remote workers: one POST /run per
+// lease, answered when the task settles. Task-function failures surface
+// as *TaskError; everything else (connection refused or cut, any
+// non-200 answer) is a transport failure the coordinator requeues.
+type HTTPTransport struct{}
 
 // Run implements Transport.
-func (t *HTTPTransport) Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error) {
-	remote := compute.NewRemoteEndpoint(workerURL)
-	if t.HTTP != nil {
-		remote.HTTP = t.HTTP
-	}
-	if t.PollInterval > 0 {
-		remote.PollInterval = t.PollInterval
-	}
-	fut, err := remote.Submit(ctx, function, args)
+func (HTTPTransport) Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error) {
+	body, err := json.Marshal(runRequest{Function: function, Args: args})
 	if err != nil {
-		return nil, err // transport failure (includes ErrDraining): requeue-able
+		// No worker could run these args; trying another cannot help.
+		return nil, &TaskError{Msg: fmt.Sprintf("fleet: task args: %v", err)}
 	}
-	interval := remote.PollInterval
-	for {
-		tr, err := fut.Poll(ctx)
-		if err != nil {
-			return nil, err // transport failure mid-flight: requeue-able
-		}
-		switch tr.State {
-		case compute.Completed:
-			return tr.Result, nil
-		case compute.Errored:
-			return nil, &TaskError{Msg: tr.Error}
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(interval):
-		}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/run", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		err := fmt.Errorf("fleet: run on %s: %s: %s", workerURL, resp.Status, strings.TrimSpace(string(msg)))
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			// "Unavailable for now": the coordinator requeues it without
+			// evicting the worker, whose heartbeats decide its liveness.
+			// The eoml worker never sends one; it drains by closing its
+			// listener.
+			return nil, fmt.Errorf("%w: %w", err, compute.ErrDraining)
+		}
+		return nil, err
+	}
+	var rr runResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&rr); err != nil {
+		return nil, fmt.Errorf("fleet: run on %s: %w", workerURL, err)
+	}
+	if rr.Error != nil {
+		return nil, &TaskError{Msg: *rr.Error}
+	}
+	return rr.Result, nil
 }

@@ -10,15 +10,22 @@ import (
 
 // inProcess is the Transport of a fleet whose one worker is the calling
 // process: Run calls the registered task function directly, with no HTTP
-// hop and no result polling.
+// hop. No failure here can be a transport failure: a process is never
+// unreachable from itself, and requeueing would evict the only worker.
 type inProcess struct{ reg *compute.Registry }
 
-// Run reports every failure, panics included, as a *TaskError, exactly
-// as the HTTP transport reports a task that failed on its worker. No
-// failure here can be a transport failure: a process is never
-// unreachable from itself, and requeueing would evict the only worker.
-func (t inProcess) Run(ctx context.Context, _, function string, args map[string]any) (result any, err error) {
-	fn, err := t.reg.Lookup(function)
+// Run implements Transport.
+func (t inProcess) Run(ctx context.Context, _, function string, args map[string]any) (any, error) {
+	return runTask(ctx, t.reg, function, args)
+}
+
+// runTask runs one task in this process — for the in-memory transport
+// and for a worker's POST /run alike: look the function up and call it
+// under ctx. Every failure, an unknown function and a panic included,
+// is a *TaskError, fatal for the task: the lease reached a worker, so
+// requeueing it elsewhere cannot help.
+func runTask(ctx context.Context, reg *compute.Registry, function string, args map[string]any) (result any, err error) {
+	fn, err := reg.Lookup(function)
 	if err != nil {
 		return nil, &TaskError{Msg: err.Error()}
 	}

@@ -53,7 +53,7 @@ type GranuleArgs struct {
 	ArchiveToken string  `json:"archive_token,omitempty"`
 }
 
-// Args flattens to the compute fabric's map form. It fails only on a
+// Args flattens to the task functions' map form. It fails only on a
 // value JSON cannot carry (a NaN cloud fraction).
 func (a GranuleArgs) Args() (map[string]any, error) {
 	var m map[string]any
@@ -97,7 +97,7 @@ func ParseGranuleResult(v any) (GranuleResult, error) {
 	return r, nil
 }
 
-// rewire converts between a wire struct and the compute fabric's
+// rewire converts between a wire struct and the task functions'
 // generic form through JSON — the codec the HTTP hop applies anyway, so
 // a value reads the same whether or not it crossed a process boundary.
 func rewire(from, to any) error {

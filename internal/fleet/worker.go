@@ -21,7 +21,7 @@ type WorkerConfig struct {
 	// CoordinatorURL is the control plane's base URL (the /fleet/
 	// membership API); required.
 	CoordinatorURL string
-	// ListenAddr is the endpoint's listen address; default "127.0.0.1:0"
+	// ListenAddr is the worker's listen address; default "127.0.0.1:0"
 	// (an OS-assigned port).
 	ListenAddr string
 	// AdvertiseURL overrides the URL registered with the coordinator;
@@ -40,8 +40,8 @@ type WorkerConfig struct {
 	// PrefetchWindow is how many more leases than Slots the worker takes:
 	// those tasks fetch their archive inputs while every compute slot is
 	// busy, then wait for one. The worker registers capacity
-	// Slots + PrefetchWindow and runs that many tasks at once. 0 leases
-	// no more than Slots.
+	// Slots + PrefetchWindow and runs at most that many tasks at once. 0
+	// leases no more than Slots.
 	PrefetchWindow int
 	// CacheDir, when set, enables the content-addressed on-disk download
 	// cache so re-leased granules hit disk instead of the archive.
@@ -59,26 +59,28 @@ type WorkerConfig struct {
 	Register func(reg *compute.Registry) error
 }
 
-// Worker is one fleet worker process: a compute endpoint serving the
-// standard kernels over HTTP, registered with a coordinator and kept
-// live by heartbeats. Start it, let the coordinator lease tasks to it,
-// Stop it to drain gracefully.
+// Worker is one fleet worker process: a function registry holding the
+// standard kernels, served over HTTP one task per POST /run, registered
+// with a coordinator and kept live by heartbeats. Start it, let the
+// coordinator lease tasks to it, Stop it to drain gracefully.
 type Worker struct {
-	cfg      WorkerConfig
-	client   *Client
-	ep       *compute.Endpoint
-	srv      *http.Server
-	kernels  *Kernels
-	gate     chan struct{} // the granule kernel's Slots compute slots
-	capacity int           // Slots + PrefetchWindow: registered, and the endpoint's pool size
+	cfg     WorkerConfig
+	client  *Client
+	reg     *compute.Registry
+	srv     *http.Server
+	kernels *Kernels
+	gate    chan struct{} // the granule kernel's Slots compute slots
+	// slots holds one token per running task: Slots + PrefetchWindow,
+	// the capacity the worker registers.
+	slots chan struct{}
 
 	mu sync.Mutex
-	// url is the advertised endpoint URL, known after Start. guarded by mu
+	// url is the advertised URL, known after Start. guarded by mu
 	url string
 	// stop cancels the heartbeat loop. guarded by mu
 	stop context.CancelFunc
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the listener and the heartbeat loop
 }
 
 // NewWorker builds a worker; Start makes it live.
@@ -116,23 +118,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Metrics != nil {
 		kernels.Instrument(cfg.Metrics)
 	}
-	// Lease-ahead: run more tasks than compute slots, so the next
-	// PrefetchWindow granules fetch while the slots compute.
-	capacity := cfg.Slots + cfg.PrefetchWindow
-	ep, err := compute.NewEndpoint(cfg.ID, reg, compute.EndpointConfig{
-		Workers:     capacity,
-		TaskTimeout: cfg.TaskTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return &Worker{
-		cfg:      cfg,
-		client:   NewClient(cfg.CoordinatorURL),
-		ep:       ep,
-		kernels:  kernels,
-		gate:     gate,
-		capacity: capacity,
+		cfg:     cfg,
+		client:  NewClient(cfg.CoordinatorURL),
+		reg:     reg,
+		kernels: kernels,
+		gate:    gate,
+		// Lease-ahead: run more tasks than compute slots, so the next
+		// PrefetchWindow granules fetch while the slots compute.
+		slots: make(chan struct{}, cfg.Slots+cfg.PrefetchWindow),
 	}, nil
 }
 
@@ -140,15 +134,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // tests and benchmarks.
 func (w *Worker) Kernels() *Kernels { return w.kernels }
 
-// URL reports the advertised endpoint URL (empty before Start).
+// URL reports the advertised URL (empty before Start).
 func (w *Worker) URL() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.url
 }
 
-// Start listens, launches the task pool, registers with the
-// coordinator, and begins heartbeating. ctx bounds the registration
+// Start listens, registers with the coordinator, and begins
+// heartbeating. ctx bounds the registration
 // call only; the heartbeat loop runs until Stop.
 func (w *Worker) Start(ctx context.Context) error {
 	ln, err := net.Listen("tcp", w.cfg.ListenAddr)
@@ -159,18 +153,18 @@ func (w *Worker) Start(ctx context.Context) error {
 	if url == "" {
 		url = "http://" + ln.Addr().String()
 	}
-	w.ep.Start()
-	w.srv = &http.Server{Handler: w.ep.Handler()}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/run", w.handleRun)
+	w.srv = &http.Server{Handler: mux}
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
 		_ = w.srv.Serve(ln) // returns on Close/Shutdown
 	}()
 
-	cadence, err := w.client.Register(ctx, w.cfg.ID, url, w.capacity)
+	cadence, err := w.client.Register(ctx, w.cfg.ID, url, cap(w.slots))
 	if err != nil {
 		_ = w.srv.Close()
-		w.ep.Stop()
 		w.wg.Wait()
 		return fmt.Errorf("fleet: worker %s register: %w", w.cfg.ID, err)
 	}
@@ -205,16 +199,35 @@ func (w *Worker) heartbeatLoop(ctx context.Context, url string, cadence time.Dur
 			err := w.client.Heartbeat(ctx, w.cfg.ID)
 			var unknown *ErrUnknownWorker
 			if errors.As(err, &unknown) {
-				_, _ = w.client.Register(ctx, w.cfg.ID, url, w.capacity)
+				_, _ = w.client.Register(ctx, w.cfg.ID, url, cap(w.slots))
 			}
 		}
 	}
 }
 
+// run executes one leased task under ctx, the lease's request context:
+// it waits for one of the worker's capacity slots, then runs the
+// function through runTask, bounded by TaskTimeout.
+func (w *Worker) run(ctx context.Context, function string, args map[string]any) (any, error) {
+	select {
+	case w.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-w.slots }()
+	if w.cfg.TaskTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, w.cfg.TaskTimeout)
+		defer cancel()
+	}
+	return runTask(ctx, w.reg, function, args)
+}
+
 // Stop drains gracefully: stop heartbeating, deregister so the
-// coordinator leases nothing new here (late submissions get the typed
-// compute.ErrDraining and requeue), finish in-flight tasks, then shut
-// the HTTP server down once outstanding result polls settle.
+// coordinator leases nothing new here, then shut the listener down.
+// Shutdown refuses later connections (a lease that races the
+// deregistration fails to connect and is requeued elsewhere) and
+// returns once every running task has written its answer.
 func (w *Worker) Stop() {
 	w.mu.Lock()
 	stop := w.stop
@@ -224,12 +237,10 @@ func (w *Worker) Stop() {
 		stop()
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
 	_ = w.client.Deregister(dctx, w.cfg.ID)
-	w.ep.Stop()
+	cancel()
 	if w.srv != nil {
-		_ = w.srv.Shutdown(dctx)
-		_ = w.srv.Close()
+		_ = w.srv.Shutdown(context.Background())
 	}
 	w.wg.Wait()
 }

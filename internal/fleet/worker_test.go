@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,8 +32,8 @@ func newTestControlPlane(t *testing.T, cfg Config) (*Coordinator, *httptest.Serv
 }
 
 // TestWorkerLifecycle: a real worker registers over HTTP, executes a
-// leased task end to end (submit → poll → result), and deregisters on
-// Stop.
+// leased task end to end (one POST /run, answered with the result), and
+// deregisters on Stop.
 func TestWorkerLifecycle(t *testing.T) {
 	c, srv := newTestControlPlane(t, Config{})
 
@@ -78,25 +82,252 @@ func TestWorkerLifecycle(t *testing.T) {
 }
 
 // TestWorkerServesGranuleKernel: the one granule task function — and no
-// other standard kernel — is registered on every worker endpoint.
+// other standard kernel — is registered on every worker.
 func TestWorkerServesGranuleKernel(t *testing.T) {
-	_, srv := newTestControlPlane(t, Config{})
-	w, err := NewWorker(WorkerConfig{ID: "k", CoordinatorURL: srv.URL})
+	w, err := NewWorker(WorkerConfig{ID: "k", CoordinatorURL: "http://unused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fns := w.reg.Names(); len(fns) != 1 || fns[0] != GranuleFunction {
+		t.Fatalf("worker functions = %v, want exactly [%s]", fns, GranuleFunction)
+	}
+}
+
+// startTestWorker starts a worker serving register's functions against
+// the control plane at url, stopped at test cleanup.
+func startTestWorker(t *testing.T, cfg WorkerConfig) *Worker {
+	t.Helper()
+	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Stop()
+	t.Cleanup(w.Stop)
+	return w
+}
 
-	remote := compute.NewRemoteEndpoint(w.URL())
-	_, _, fns, err := remote.Status(context.Background())
+// TestWorkerFailuresAreTaskErrors: over HTTP, as in-process, a task that
+// errors, panics, or names a function the worker does not serve fails
+// as a *TaskError, and so does a result JSON cannot carry — fatal for that task alone. None of them is a
+// transport failure, which would requeue the task and evict the healthy
+// worker that answered.
+func TestWorkerFailuresAreTaskErrors(t *testing.T) {
+	c, srv := newTestControlPlane(t, Config{HeartbeatTimeout: time.Hour})
+	reg := metrics.NewRegistry()
+	c.Instrument(reg)
+	for _, id := range []string{"w1", "w2", "w3"} {
+		startTestWorker(t, WorkerConfig{ID: id, CoordinatorURL: srv.URL, Register: func(reg *compute.Registry) error {
+			if err := reg.Register("test.fail", func(context.Context, map[string]any) (any, error) {
+				return nil, errors.New("bad input")
+			}); err != nil {
+				return err
+			}
+			if err := reg.Register("test.nan", func(context.Context, map[string]any) (any, error) {
+				return math.NaN(), nil
+			}); err != nil {
+				return err
+			}
+			return reg.Register("test.panic", func(context.Context, map[string]any) (any, error) {
+				panic("kaboom")
+			})
+		}})
+	}
+	ctx := context.Background()
+	for fn, want := range map[string]string{
+		"test.fail":        "bad input",
+		"test.panic":       "panicked: kaboom",
+		"test.nan":         "fleet: task result",
+		"no.such.function": `no function "no.such.function"`,
+	} {
+		fut, err := c.Submit(ctx, fn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = fut.Get(ctx)
+		var taskErr *TaskError
+		if !errors.As(err, &taskErr) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want a *TaskError containing %q", fn, err, want)
+		}
+	}
+	if got := counterValue(t, reg, "eoml_fleet_workers_evicted_total"); got != 0 {
+		t.Fatalf("evicted = %v, want 0", got)
+	}
+	if got := counterValue(t, reg, "eoml_fleet_tasks_requeued_total"); got != 0 {
+		t.Fatalf("requeued = %v, want 0", got)
+	}
+	if ws := c.Workers(); len(ws) != 3 {
+		t.Fatalf("live workers after task failures: %+v, want all 3", ws)
+	}
+}
+
+// TestWorkerTaskTimeout: WorkerConfig.TaskTimeout cancels a task that
+// runs past it, and the lease fails as a *TaskError.
+func TestWorkerTaskTimeout(t *testing.T) {
+	c, srv := newTestControlPlane(t, Config{HeartbeatTimeout: time.Hour})
+	startTestWorker(t, WorkerConfig{
+		ID: "slow", CoordinatorURL: srv.URL, TaskTimeout: 20 * time.Millisecond,
+		Register: func(reg *compute.Registry) error {
+			return reg.Register("test.hang", func(ctx context.Context, _ map[string]any) (any, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			})
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fut, err := c.Submit(ctx, "test.hang", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fns) != 1 || fns[0] != GranuleFunction {
-		t.Fatalf("worker functions = %v, want exactly [%s]", fns, GranuleFunction)
+	_, err = fut.Get(ctx)
+	var taskErr *TaskError
+	if !errors.As(err, &taskErr) || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("task past its timeout: %v, want a *TaskError for the deadline", err)
+	}
+}
+
+// TestWorkerCancelReachesTask: canceling a lease cancels the task's
+// context on its worker, and frees the worker's slot for the next lease
+// instead of leaving the canceled task running in it.
+func TestWorkerCancelReachesTask(t *testing.T) {
+	c, srv := newTestControlPlane(t, Config{HeartbeatTimeout: time.Hour})
+	started, canceled, abandon := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	startTestWorker(t, WorkerConfig{
+		ID: "one-slot", CoordinatorURL: srv.URL, Slots: 1,
+		Register: func(reg *compute.Registry) error {
+			if err := reg.Register("test.hold", func(ctx context.Context, _ map[string]any) (any, error) {
+				close(started)
+				select {
+				case <-ctx.Done():
+					close(canceled)
+					return nil, ctx.Err()
+				case <-abandon: // a failed test must not hang the worker's Stop
+					return nil, errors.New("abandoned")
+				}
+			}); err != nil {
+				return err
+			}
+			return reg.Register("test.fast", func(context.Context, map[string]any) (any, error) {
+				return "fast", nil
+			})
+		},
+	})
+	t.Cleanup(func() { close(abandon) }) // runs before the worker's Stop
+	lease, drop := context.WithCancel(context.Background())
+	held, err := c.Submit(lease, "test.hold", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	drop()
+	if _, err := held.Get(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled lease = %v, want context.Canceled", err)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker kept running a task whose lease was canceled")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	next, err := c.Submit(ctx, "test.fast", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := next.Get(ctx); err != nil || v != "fast" {
+		t.Fatalf("next lease in the freed slot = %v, %v", v, err)
+	}
+}
+
+// TestWorkerStopDeliversRunningLease: a worker stopped while it runs a
+// lease finishes that task and delivers its result before it goes down.
+// The lease is neither requeued nor run a second time on the spare
+// worker.
+func TestWorkerStopDeliversRunningLease(t *testing.T) {
+	c, srv := newTestControlPlane(t, Config{HeartbeatTimeout: time.Hour})
+	reg := metrics.NewRegistry()
+	c.Instrument(reg)
+	var executions atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	register := func(reg *compute.Registry) error {
+		return reg.Register("test.task", func(ctx context.Context, _ map[string]any) (any, error) {
+			if executions.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return "done", nil
+		})
+	}
+	w, err := NewWorker(WorkerConfig{ID: "a-stopping", CoordinatorURL: srv.URL, Register: register})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	fut, err := c.Submit(ctx, "test.task", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	startTestWorker(t, WorkerConfig{ID: "b-spare", CoordinatorURL: srv.URL, Register: register})
+
+	stopped := make(chan struct{})
+	go func() {
+		w.Stop()
+		close(stopped)
+	}()
+	for len(c.Workers()) != 1 { // a-stopping has deregistered
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-stopped
+	if v, err := fut.Get(ctx); err != nil || v != "done" {
+		t.Fatalf("lease running through Stop = %v, %v", v, err)
+	}
+	if n := executions.Load(); n != 1 {
+		t.Fatalf("task executed %d times, want 1", n)
+	}
+	if got := counterValue(t, reg, "eoml_fleet_tasks_requeued_total"); got != 0 {
+		t.Fatalf("requeued = %v, want 0", got)
+	}
+}
+
+// TestHTTPTransportErrors: what the transport reads as a task failure
+// (fatal) and what as a transport failure (requeue). Args JSON cannot
+// encode are a *TaskError before any request; a 503 is the typed drain
+// rejection; any other non-200 answer and an over-long answer are plain
+// transport failures.
+func TestHTTPTransportErrors(t *testing.T) {
+	ctx := context.Background()
+	var tr HTTPTransport
+	var taskErr *TaskError
+	if _, err := tr.Run(ctx, "http://127.0.0.1:1", "f", map[string]any{"x": math.NaN()}); !errors.As(err, &taskErr) {
+		t.Fatalf("unencodable args = %v, want a *TaskError", err)
+	}
+	for _, tc := range []struct {
+		name     string
+		answer   func(http.ResponseWriter)
+		draining bool
+	}{
+		{"draining", func(w http.ResponseWriter) { http.Error(w, "draining", http.StatusServiceUnavailable) }, true},
+		{"not found", func(w http.ResponseWriter) { http.NotFound(w, nil) }, false},
+		{"server error", func(w http.ResponseWriter) { http.Error(w, "oops", http.StatusInternalServerError) }, false},
+		{"over-long answer", func(w http.ResponseWriter) {
+			fmt.Fprintf(w, `{"result": "%s"}`, strings.Repeat("x", maxBody))
+		}, false},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { tc.answer(w) }))
+		_, err := tr.Run(ctx, srv.URL, "f", nil)
+		srv.Close()
+		if err == nil || errors.As(err, &taskErr) || errors.Is(err, compute.ErrDraining) != tc.draining {
+			t.Fatalf("%s: error %v, want a transport failure (draining %v)", tc.name, err, tc.draining)
+		}
 	}
 }
 
@@ -192,9 +423,9 @@ func TestWorkerKilledMidTask(t *testing.T) {
 	}
 	defer survivor.Stop()
 
-	// Kill the victim: close its listener without drain, as a crashed
-	// process would. The coordinator's next poll fails, evicts the
-	// victim, and requeues the lease.
+	// Kill the victim: close its listener and connections without
+	// drain, as a crashed process would. The lease's request fails,
+	// which evicts the victim and requeues the lease.
 	_ = victim.srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -223,31 +454,63 @@ func TestWorkerKilledMidTask(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// Teardown: unblock the hung lease so the victim's pool can drain.
+	// Teardown: unblock the hung task so the victim's Stop can drain.
 	close(victimRelease)
 	victim.Stop()
 }
 
-// TestWorkerDrainRejectsNewTasks: once Stop begins, direct submissions
-// to the endpoint answer with the typed drain error over HTTP.
+// TestWorkerDrainRejectsNewTasks: once Stop begins, the worker's
+// listener is closed, so a lease still sent to it fails to connect — a
+// transport failure the coordinator requeues, never a task error —
+// while the lease it already runs still gets its answer.
 func TestWorkerDrainRejectsNewTasks(t *testing.T) {
 	_, srv := newTestControlPlane(t, Config{})
-	w, err := NewWorker(WorkerConfig{ID: "drainer", CoordinatorURL: srv.URL})
+	started, release := make(chan struct{}), make(chan struct{})
+	w, err := NewWorker(WorkerConfig{ID: "drainer", CoordinatorURL: srv.URL, Slots: 2,
+		Register: func(reg *compute.Registry) error {
+			return reg.Register("test.hold", func(context.Context, map[string]any) (any, error) {
+				close(started)
+				<-release
+				return "held", nil
+			})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	url := w.URL()
-	w.Stop()
-
-	// The HTTP listener is down after Stop; a draining-window submit is
-	// exercised at the endpoint layer instead (the HTTP mapping itself
-	// is pinned in internal/compute's tests).
-	_, err = w.ep.Submit("test.anything", nil)
-	if err == nil {
-		t.Fatalf("submit to %s after Stop succeeded", url)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var tr HTTPTransport
+	held := make(chan error, 1)
+	go func() {
+		_, err := tr.Run(ctx, w.URL(), "test.hold", nil)
+		held <- err
+	}()
+	<-started
+	stopped := make(chan struct{})
+	go func() {
+		w.Stop() // waits for test.hold to answer
+		close(stopped)
+	}()
+	for {
+		// Before Stop closes the listener, an unknown function is a
+		// task error; after, every lease is refused.
+		_, err := tr.Run(ctx, w.URL(), "test.anything", nil)
+		var taskErr *TaskError
+		if !errors.As(err, &taskErr) {
+			if err == nil || ctx.Err() != nil {
+				t.Fatalf("lease during drain = %v, want a transport failure", err)
+			}
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-stopped
+	if err := <-held; err != nil {
+		t.Fatalf("lease running through Stop = %v", err)
 	}
 }
 
@@ -296,7 +559,7 @@ func TestWorkerJoinsBacklogSlotsFreePerTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Stop()
-	defer releaseSlow() // runs first: Stop drains the endpoint's pool
+	defer releaseSlow() // runs first: Stop waits for running tasks
 
 	wait, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
