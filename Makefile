@@ -59,8 +59,8 @@ race:
 
 # Short fuzzing pass over the parsers that consume untrusted bytes: the
 # yamlite config parser, the HDF granule decoder, the NetCDF tile-file
-# decoder and the fleet wire (a worker's /run body, granule references
-# and granule results). $(FUZZTIME) per target; any crasher found
+# decoder and the fleet wire (a worker's /run body, granule and
+# label-file references and results). $(FUZZTIME) per target; any crasher found
 # lands in testdata/fuzz/ and from then on runs as a plain regression
 # test under `go test`.
 fuzz-smoke:

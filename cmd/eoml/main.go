@@ -146,18 +146,13 @@ paths:
 workers:
   download: 3             # granule tasks fetching ahead of a free preprocess slot
   preprocess: 8           # compute slots: granules decoding, tiling and labeling at once
-  inference: 1
 
 tile:
   pixels: 8                # 128 / archive scale (laads-server -scale 16)
   min_cloud_fraction: 0.3
 
-poll_interval_ms: 50      # monitor fallback crawl period (tile files the run writes are picked up at once)
-stall_timeout_ms: 300000  # abort if inference makes no progress this long
-
-batch:
-  tiles: 256              # cap on one coalesced encode batch
-  delay_ms: 20            # deprecated, ignored since PR 13 (an idle encoder takes a file at once)
+poll_interval_ms: 50      # monitor crawl period over paths.tiles (only other writers' tile files land there)
+stall_timeout_ms: 300000  # /healthz reports inference stalled after this long without a labeled file
 
 precision: float32        # encode arithmetic: float32 (oracle) or int8 (quantized, faster)
 

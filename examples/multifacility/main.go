@@ -56,7 +56,6 @@ func main() {
 	cfg.TilePixels = 4
 	cfg.DownloadWorkers = 3
 	cfg.PreprocessWorkers = 8
-	cfg.InferenceWorkers = 1
 	cfg.PollInterval = 20 * time.Millisecond
 	cfg.DataDir = filepath.Join(defiant, "modis")
 	cfg.TileDir = filepath.Join(defiant, "tiles")

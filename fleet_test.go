@@ -231,7 +231,6 @@ func fleetRunConfig(tb testing.TB, archiveURL, token string, granules []int, mod
 	cfg.DestDir = filepath.Join(root, "dest")
 	cfg.TilePixels = 4
 	cfg.PollInterval = 10 * time.Millisecond
-	cfg.BatchDelay = 2 * time.Millisecond
 	cfg.ModelPath = model
 	cfg.CodebookPath = codebook
 	cfg.Distribution = core.DistributionFleet

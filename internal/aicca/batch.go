@@ -69,6 +69,10 @@ type wakeup struct {
 // to the next waiting submitter. Submission order is preserved per
 // caller; labels are written into the submitted tiles in place, exactly
 // as Labeler.LabelTiles does.
+//
+// No run uses it: every tile file is its own fleet task. It stays only
+// because the granule benchmark's aicca.batcher_wait_ms probe still
+// builds one, and goes with that probe.
 type BatchLabeler struct {
 	l   *Labeler
 	cfg BatchConfig

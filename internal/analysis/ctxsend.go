@@ -7,9 +7,9 @@ import (
 )
 
 // CtxSend enforces the cancellation invariant PR 2 fixed by hand: in the
-// orchestration packages (internal/stage, internal/core, internal/watch,
-// internal/serve) a channel send or receive must not be able to block
-// past context cancellation. Concretely the operation must be the communication of a
+// orchestration packages (internal/core, internal/watch, internal/serve)
+// a channel send or receive must not be able to block past context
+// cancellation. Concretely the operation must be the communication of a
 // select case, and that select must carry a ctx.Done() receive case or a
 // default clause. Ranging over a channel is flagged too, since a range
 // blocks until the producer closes the channel; provably bounded joins
@@ -18,7 +18,7 @@ var CtxSend = &Analyzer{
 	Name: "ctxsend",
 	Doc: "channel operations in orchestration packages must sit inside a " +
 		"select with a ctx.Done() case (or a default clause)",
-	AppliesTo: pathSuffixAny("/internal/stage", "/internal/core", "/internal/watch", "/internal/serve"),
+	AppliesTo: pathSuffixAny("/internal/core", "/internal/watch", "/internal/serve"),
 	Run:       runCtxSend,
 }
 

@@ -163,7 +163,6 @@ func TestScoping(t *testing.T) {
 		pkgPath  string
 		applies  bool
 	}{
-		{CtxSend, "github.com/eoml/eoml/internal/stage", true},
 		{CtxSend, "github.com/eoml/eoml/internal/core", true},
 		{CtxSend, "github.com/eoml/eoml/internal/watch", true},
 		{CtxSend, "github.com/eoml/eoml/internal/laads", false},

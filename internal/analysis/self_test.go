@@ -69,7 +69,7 @@ func TestRunModuleCoversAllPackages(t *testing.T) {
 		"github.com/eoml/eoml",
 		"github.com/eoml/eoml/cmd/eomlvet",
 		"github.com/eoml/eoml/internal/analysis",
-		"github.com/eoml/eoml/internal/stage",
+		"github.com/eoml/eoml/internal/core",
 		"github.com/eoml/eoml/internal/tensor",
 		"github.com/eoml/eoml/examples/streaming",
 	} {
@@ -92,7 +92,6 @@ func TestLiveIgnoreDirectives(t *testing.T) {
 	root, loader, pkgs := loadModule(t)
 	want := map[string]int{
 		"internal/tile/tile.go":         1, // arenapair: ownership parked in s.bufs
-		"internal/stage/inference.go":   2, // ctxsend ×2: bounded drain and join in shutdown
 		"internal/transfer/transfer.go": 1, // ctxflow: fire-and-forget Submit
 	}
 	got := map[string]int{}

@@ -14,12 +14,8 @@ import (
 )
 
 // ErrDraining is returned by Submit once Stop has begun draining the
-// endpoint, and by a fleet lease answered 503: the task was not
-// accepted, but its executor is unavailable for now rather than broken.
-// Callers that own retry policy (the fleet coordinator) treat a
-// draining rejection as requeue-able — resubmit the task elsewhere —
-// where any other submission failure is fatal for the task. Test with
-// errors.Is.
+// endpoint: the task was not accepted, but the endpoint is shutting
+// down rather than broken. Test with errors.Is.
 var ErrDraining = errors.New("endpoint draining")
 
 // Function is a registered callable. Arguments and results must be

@@ -48,35 +48,29 @@ type Config struct {
 	// leases, fetching their inputs while every slot is busy.
 	DownloadWorkers   int
 	PreprocessWorkers int
-	// InferenceWorkers bounds concurrent label-and-move flows over tile
-	// files the monitor finds in TileDir. A run's own granules are
-	// labeled inside their granule task and never pass through these
-	// flows; the pool serves only tile files other writers drop into
-	// TileDir.
-	InferenceWorkers int
 
 	// Tile extraction.
 	TilePixels   int // tile edge in granule pixels
 	MinCloudFrac float64
 
 	// Monitor: the crawler's scan period over TileDir. Only tile files
-	// other writers drop there go through the monitor; a run's own
-	// granules never wait for it.
+	// other writers drop there go through the monitor, each as one
+	// label-file task; a run's own granules never wait for it.
 	PollInterval time.Duration
 
-	// StallTimeout caps how long the run waits for inference to catch up
-	// with the expected tile-file count before declaring a stall.
+	// StallTimeout is the inference stage's /healthz stall budget: how
+	// long it may go without a file published labeled before the run
+	// reports it stalled.
 	StallTimeout time.Duration
 
-	// Inference batching: tiles from watched files (external tile files
-	// in TileDir) that queue up behind a running encode are coalesced into
-	// the next one, up to BatchTiles.
+	// Deprecated: BatchTiles is read by nothing in a run; every tile
+	// file is its own label-file task. It stays only because the granule
+	// benchmark's aicca.batcher_wait_ms probe still sizes its batcher
+	// with it, and goes with that probe.
 	BatchTiles int
-	// Deprecated: BatchDelay (batch.delay_ms) is accepted and ignored
-	// since PR 13 — an idle encoder takes a file at once, so there is no
-	// batch window. Any value validates. It stays only because the
-	// granule benchmark's batcher probe still reads it; it goes with
-	// that probe.
+	// Deprecated: BatchDelay is read by nothing in a run. It stays only
+	// because the granule benchmark's aicca.batcher_wait_ms probe still
+	// reads it, and goes with that probe.
 	BatchDelay time.Duration
 
 	// Precision selects the encode arithmetic for inference: "float32"
@@ -119,7 +113,6 @@ func DefaultConfig() Config {
 		DOY:               1,
 		DownloadWorkers:   3,
 		PreprocessWorkers: 8,
-		InferenceWorkers:  1,
 		TilePixels:        16,
 		MinCloudFrac:      0.3,
 		PollInterval:      50 * time.Millisecond,
@@ -154,7 +147,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: %s directory required", name)
 		}
 	}
-	if c.DownloadWorkers <= 0 || c.PreprocessWorkers <= 0 || c.InferenceWorkers <= 0 {
+	if c.DownloadWorkers <= 0 || c.PreprocessWorkers <= 0 {
 		return fmt.Errorf("core: worker counts must be positive")
 	}
 	if c.TilePixels < 4 {
@@ -168,9 +161,6 @@ func (c *Config) Validate() error {
 	}
 	if c.StallTimeout <= 0 {
 		return fmt.Errorf("core: stall timeout must be positive")
-	}
-	if c.BatchTiles <= 0 {
-		return fmt.Errorf("core: batch tiles must be positive")
 	}
 	if _, err := aicca.ParsePrecision(c.Precision); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -229,20 +219,19 @@ func (c *Config) GranuleIDs() []modis.GranuleID {
 //	workers:
 //	  download: 3
 //	  preprocess: 32
-//	  inference: 1
 //	tile:
 //	  pixels: 16
 //	  min_cloud_fraction: 0.3
 //	poll_interval_ms: 50
 //	stall_timeout_ms: 300000
-//	batch:
-//	  tiles: 256
-//	  delay_ms: 20   # deprecated, ignored since PR 13
 //	precision: float32
 //	model:
 //	  weights: model.hdf
 //	  codebook: codebook.hdf
 //	metrics_addr: localhost:9090
+//
+// Keys it does not know are ignored, so a config that still sets a
+// retired key (workers.inference, batch.tiles, batch.delay_ms) loads.
 func LoadConfig(data []byte) (*Config, error) {
 	doc, err := yamlite.ParseMap(data)
 	if err != nil {
@@ -304,9 +293,6 @@ func LoadConfig(data []byte) (*Config, error) {
 		if v, ok := m["preprocess"].(int64); ok {
 			cfg.PreprocessWorkers = int(v)
 		}
-		if v, ok := m["inference"].(int64); ok {
-			cfg.InferenceWorkers = int(v)
-		}
 	}
 	if m, ok := doc["tile"].(map[string]any); ok {
 		if v, ok := m["pixels"].(int64); ok {
@@ -324,14 +310,6 @@ func LoadConfig(data []byte) (*Config, error) {
 	}
 	if v, ok := doc["stall_timeout_ms"].(int64); ok {
 		cfg.StallTimeout = time.Duration(v) * time.Millisecond
-	}
-	if m, ok := doc["batch"].(map[string]any); ok {
-		if v, ok := m["tiles"].(int64); ok {
-			cfg.BatchTiles = int(v)
-		}
-		if v, ok := m["delay_ms"].(int64); ok {
-			cfg.BatchDelay = time.Duration(v) * time.Millisecond
-		}
 	}
 	if v, ok := doc["precision"].(string); ok {
 		cfg.Precision = v
@@ -375,13 +353,10 @@ func ConfigKeys() []string {
 		"paths.dest",
 		"workers.download",
 		"workers.preprocess",
-		"workers.inference",
 		"tile.pixels",
 		"tile.min_cloud_fraction",
 		"poll_interval_ms",
 		"stall_timeout_ms",
-		"batch.tiles",
-		"batch.delay_ms",
 		"precision",
 		"model.weights",
 		"model.codebook",

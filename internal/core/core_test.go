@@ -266,17 +266,14 @@ func TestPipelineWithNightGranule(t *testing.T) {
 }
 
 // TestPipelineBatchedInference drives the monitor path with several
-// inference workers and a batch size small enough to force multiple
-// cross-file flushes — over tile files other writers drop into TileDir,
-// the only files that path sees — then checks every tile still gets
-// labeled exactly once and the per-batch spans show up on the timeline.
+// tile files other writers drop into TileDir at once — the only files
+// that path sees, each one label-file task on the run's fleet — then
+// checks every tile still gets labeled exactly once and shipped.
 func TestPipelineBatchedInference(t *testing.T) {
 	granules := findProductiveGranules(t, 4, 3)
 	labeler := trainTestLabeler(t, granules[0])
 	ts := newArchive(t)
 	cfg := testConfig(t, ts.URL, nil)
-	cfg.InferenceWorkers = 3
-	cfg.BatchTiles = 8
 
 	rep, want := streamWithExternalFiles(t, cfg, labeler, granules[:1], granules)
 	external := 0
@@ -303,9 +300,6 @@ func TestPipelineBatchedInference(t *testing.T) {
 				t.Fatalf("%s tile %d unlabeled", e.Name(), i)
 			}
 		}
-	}
-	if len(rep.Timeline.Samples("inference.batch")) == 0 {
-		t.Error("no inference.batch spans recorded")
 	}
 }
 
@@ -359,7 +353,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MinCloudFrac = 2 },
 		func(c *Config) { c.PollInterval = 0 },
 		func(c *Config) { c.StallTimeout = 0 },
-		func(c *Config) { c.BatchTiles = 0 },
 	}
 	for i, mutate := range cases {
 		cfg := base
@@ -371,13 +364,13 @@ func TestConfigValidation(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// batch.delay_ms is deprecated and ignored since PR 13: no value of
-	// it can make a config invalid.
-	for _, d := range []time.Duration{0, -time.Second} {
+	// BatchTiles and BatchDelay are read by nothing in a run: no value
+	// of either can make a config invalid.
+	for _, n := range []int{0, -1} {
 		cfg := base
-		cfg.BatchDelay = d
+		cfg.BatchTiles, cfg.BatchDelay = n, time.Duration(n)*time.Second
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("BatchDelay %v rejected: %v", d, err)
+			t.Errorf("BatchTiles %d / BatchDelay %v rejected: %v", cfg.BatchTiles, cfg.BatchDelay, err)
 		}
 	}
 }
@@ -425,7 +418,7 @@ model:
 	if cfg.ArchiveURL != "http://localhost:8900" || cfg.ArchiveToken != "secret" {
 		t.Fatalf("archive: %+v", cfg)
 	}
-	if cfg.PreprocessWorkers != 32 || cfg.InferenceWorkers != 1 {
+	if cfg.PreprocessWorkers != 32 {
 		t.Fatalf("workers: %+v", cfg)
 	}
 	if cfg.TilePixels != 16 || cfg.MinCloudFrac != 0.3 {
@@ -437,8 +430,9 @@ model:
 	if cfg.StallTimeout != 2*time.Minute {
 		t.Fatalf("stall: %v", cfg.StallTimeout)
 	}
-	if cfg.BatchTiles != 128 || cfg.BatchDelay != 10*time.Millisecond {
-		t.Fatalf("batch: %+v", cfg)
+	// Retired keys (workers.inference, batch.*) still load, and are ignored.
+	if def := DefaultConfig(); cfg.BatchTiles != def.BatchTiles || cfg.BatchDelay != def.BatchDelay {
+		t.Fatalf("retired batch keys were read: %+v", cfg)
 	}
 	if cfg.ModelPath != "m.hdf" || cfg.CodebookPath != "cb.hdf" {
 		t.Fatalf("model: %+v", cfg)
@@ -460,11 +454,10 @@ func TestLoadConfigErrors(t *testing.T) {
 }
 
 // TestLabelPathWaitsOnNoTimer pins the work-conserving label path: with
-// the crawler's tick (and the deprecated batch window) an hour away, a
-// batch run and a stream still finish promptly, because a run's own
-// granules are labeled inside their fleet task and never wait on the
-// monitor. Anything left waiting on a tick or a window would hit the
-// deadline instead.
+// the crawler's tick an hour away, a batch run and a stream still finish
+// promptly, because a run's own granules are labeled inside their fleet
+// task and never wait on the monitor. Anything left waiting on a tick
+// would hit the deadline instead.
 func TestLabelPathWaitsOnNoTimer(t *testing.T) {
 	granules := findProductiveGranules(t, 3, 3)
 	labeler := trainTestLabeler(t, granules[0])
@@ -482,7 +475,6 @@ func TestLabelPathWaitsOnNoTimer(t *testing.T) {
 	}
 	timerless := func(cfg Config) Config {
 		cfg.PollInterval = time.Hour
-		cfg.BatchDelay = time.Hour
 		return cfg
 	}
 	t.Run("batch", func(t *testing.T) {

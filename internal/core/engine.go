@@ -70,6 +70,8 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Resolve the labeler now, so a run without one fails here rather
+	// than on its first task.
 	labeler, err := e.kernels.Labeler(cfg.ModelPath, cfg.CodebookPath)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -87,7 +89,6 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 		cfg:     cfg,
 		id:      opts.ID,
 		tenant:  opts.Tenant,
-		labeler: labeler,
 		kernels: e.kernels,
 		quota:   e.quotas.Tenant(tenantOrDefault(opts.Tenant)),
 		metrics: reg,
@@ -100,6 +101,7 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 		r.fleet = e.fleet
 	}
 	e.kernels.Arena().Instrument(r.metrics, "tile")
+	labeler.Model.Arena().Instrument(r.metrics, "ricc")
 	return r, nil
 }
 

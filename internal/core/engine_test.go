@@ -144,7 +144,15 @@ func TestEngineSharesModelWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.labeler != b.labeler {
+	la, err := a.kernels.Labeler(modelPath, cbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := b.kernels.Labeler(modelPath, cbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la != lb {
 		t.Fatal("same artifacts loaded twice instead of shared")
 	}
 

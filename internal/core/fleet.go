@@ -2,15 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/eoml/eoml/internal/fleet"
 	"github.com/eoml/eoml/internal/laads"
+	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/stage"
 )
 
 // coordinator returns the fleet this call leases granules to and the
@@ -31,18 +34,22 @@ func (p *Run) coordinator() (*fleet.Coordinator, func()) {
 	return c, c.Close
 }
 
-// granuleDriver is the one way a run hands granules to a fleet: one task
-// per granule, in which the leasing worker fetches whatever DataDir
-// lacks, tiles, labels and publishes the labeled file into OutboxDir.
-// Nothing else is submitted for a granule, so no labeled product waits
-// behind another granule's download or preprocessing, and no tile file
-// of the run's own ever passes through TileDir.
+// granuleDriver is the one way a run hands work to a fleet. Each
+// granule is one task, in which the leasing worker fetches whatever
+// DataDir lacks, tiles, labels and publishes the labeled file into
+// OutboxDir, so no labeled product waits behind another granule's
+// download or preprocessing and no tile file of the run's own ever
+// passes through TileDir. Each tile file another writer drops into
+// TileDir is one label-file task, which labels it and publishes it into
+// OutboxDir the same way.
 type granuleDriver struct {
 	p     *Run
-	rc    *stage.RunContext
-	svc   *stage.InferenceService
+	rc    *runContext
 	coord *fleet.Coordinator
-	wg    sync.WaitGroup
+	// wg joins granule collections, flowWG label-file flows.
+	wg, flowWG sync.WaitGroup
+
+	tilesLabeled, flowFailures *metrics.Counter
 
 	mu sync.Mutex
 	// out counts submitted granules not yet collected. guarded by mu
@@ -56,10 +63,21 @@ type granuleDriver struct {
 	starts, ends []float64
 	// err is the first granule failure. guarded by mu
 	err error
+	// labeledFiles and labeledTiles count files published labeled, the
+	// run's own and other writers'. guarded by mu
+	labeledFiles, labeledTiles int
+	// flowErrs holds every failed label-file flow. guarded by mu
+	flowErrs []error
 }
 
-func (p *Run) driver(rc *stage.RunContext, svc *stage.InferenceService, coord *fleet.Coordinator) *granuleDriver {
-	return &granuleDriver{p: p, rc: rc, svc: svc, coord: coord}
+func (p *Run) driver(rc *runContext, coord *fleet.Coordinator) *granuleDriver {
+	return &granuleDriver{
+		p: p, rc: rc, coord: coord,
+		tilesLabeled: rc.Metrics.Counter("eoml_inference_tiles_labeled_total",
+			"Tiles labeled across all published files: the run's own granules and tile files other writers drop into TileDir."),
+		flowFailures: rc.Metrics.Counter("eoml_inference_flow_failures_total",
+			"Label-file flows that failed: tile files from TileDir whose label lease failed."),
+	}
 }
 
 // submit leases g and collects it in the background. Tasks ship granule
@@ -67,8 +85,8 @@ func (p *Run) driver(rc *stage.RunContext, svc *stage.InferenceService, coord *f
 // in-flight parallelism is bounded by fleet capacity, not this process.
 func (d *granuleDriver) submit(ctx context.Context, g modis.GranuleID) {
 	cfg := d.p.cfg
-	d.rc.EventCounter("download", stage.EventIn).Add(int64(len(cfg.Products())))
-	d.rc.Event("preprocess", stage.EventIn)
+	d.rc.EventCounter("download", eventIn).Add(int64(len(cfg.Products())))
+	d.rc.Event("preprocess", eventIn)
 	args, err := fleet.GranuleArgs{
 		Satellite:    g.Satellite.String(),
 		Year:         g.Year,
@@ -129,7 +147,7 @@ func (d *granuleDriver) collect(ctx context.Context, g modis.GranuleID, fut *fle
 		d.rc.Health.Beat("preprocess")
 		if res.File != "" {
 			d.p.recordPreprocess(g, res.File, res.Tiles, fetched, tiled)
-			d.svc.Published(d.rc, res.File, res.Labeled, tiled, done)
+			d.labeled(res.File, res.File, res.Labeled, tiled, done)
 		}
 	}
 	d.mu.Lock()
@@ -139,8 +157,8 @@ func (d *granuleDriver) collect(ctx context.Context, g modis.GranuleID, fut *fle
 		d.fail(g, err)
 		return
 	}
-	d.rc.EventCounter("download", stage.EventOut).Add(int64(res.FetchedFiles))
-	d.rc.Event("preprocess", stage.EventOut)
+	d.rc.EventCounter("download", eventOut).Add(int64(res.FetchedFiles))
+	d.rc.Event("preprocess", eventOut)
 	d.files += res.FetchedFiles
 	d.bytes += res.FetchedBytes
 	d.starts = append(d.starts, d.since(res.Started))
@@ -151,6 +169,84 @@ func (d *granuleDriver) collect(ctx context.Context, g modis.GranuleID, fut *fle
 	}
 	// Tasks still out when the worker finished this one.
 	d.rc.Timeline.Record("preprocess", d.since(done), d.out)
+}
+
+// labeled books one file published into OutboxDir labeled — a granule's
+// or a label-file task's — over the interval the worker spent labeling
+// and writing it: provenance, the tile count, the inference timeline
+// at the instant it was published, and the inference stall clock.
+func (d *granuleDriver) labeled(src, dst string, tiles int, started, ended time.Time) {
+	d.p.recordInference(src, dst, tiles, started, ended)
+	d.tilesLabeled.Add(int64(tiles))
+	d.mu.Lock()
+	d.labeledFiles++
+	d.labeledTiles += tiles
+	d.rc.Timeline.Record("inference", d.since(ended), d.labeledFiles)
+	d.mu.Unlock()
+	d.rc.Health.Beat("inference")
+}
+
+// flow runs one label-file flow for a tile file the crawler found in
+// TileDir, in the background: run starts the flow and waits for it. A
+// failed flow is counted and its error kept, naming the file; the run
+// fails with it once the flows are joined.
+func (d *granuleDriver) flow(path string, run func() error) {
+	d.rc.EventCounter("inference", eventIn).Inc()
+	d.flowWG.Add(1)
+	go func() {
+		defer d.flowWG.Done()
+		err := run()
+		if err == nil {
+			d.rc.EventCounter("inference", eventOut).Inc()
+			return
+		}
+		// A failed file is liveness too: the stall clock tracks
+		// progress, not success.
+		d.rc.Health.Beat("inference")
+		d.flowFailures.Inc()
+		d.mu.Lock()
+		d.flowErrs = append(d.flowErrs, fmt.Errorf("flow %s: %w", filepath.Base(path), err))
+		d.mu.Unlock()
+	}()
+}
+
+// labelFile is a flow's Infer action: it leases path's label-file task
+// to the fleet and waits for it, books the published file at the
+// worker's own times, and then removes the source from TileDir — the
+// move half of the paper's label-and-move flow, whose copy the task's
+// publish already made.
+func (d *granuleDriver) labelFile(ctx context.Context, path string) error {
+	cfg := d.p.cfg
+	fut, err := d.coord.Submit(ctx, fleet.LabelFileFunction, fleet.LabelFileArgs{
+		Src:       path,
+		OutboxDir: cfg.OutboxDir,
+		Model:     cfg.ModelPath,
+		Codebook:  cfg.CodebookPath,
+		Precision: cfg.Precision,
+	}.Args())
+	if err != nil {
+		return err
+	}
+	v, err := fut.Get(ctx)
+	if err != nil {
+		return err
+	}
+	res, err := fleet.ParseLabelFileResult(v)
+	if err != nil {
+		return err
+	}
+	d.labeled(path, res.File, res.Labeled, res.Started, res.Started.Add(res.Read+res.Label+res.Write))
+	return os.Remove(path)
+}
+
+// waitFlows joins every label-file flow, books the labeled totals into
+// rep, and returns the join of the failed flows' errors.
+func (d *granuleDriver) waitFlows(rep *Report) error {
+	d.flowWG.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rep.TilesLabeled, rep.FlowsFailed = d.labeledTiles, len(d.flowErrs)
+	return errors.Join(d.flowErrs...)
 }
 
 // since converts a worker-reported instant to seconds since the run epoch.

@@ -128,6 +128,72 @@ func TestLocalRunLabelsExternalTileFiles(t *testing.T) {
 	}
 }
 
+// TestRunShipsExternalFilesWithoutOwnProducts: a run whose own granules
+// yield no tile file at all still ships the tile files other writers
+// dropped into TileDir — shipment goes whenever the outbox holds files.
+func TestRunShipsExternalFilesWithoutOwnProducts(t *testing.T) {
+	granules := findProductiveGranules(t, 2, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	cfg := testConfig(t, ts.URL, nil)
+
+	rep, want := streamWithExternalFiles(t, cfg, labeler, nil, granules)
+	external := 0
+	for _, labels := range want {
+		external += len(labels)
+	}
+	if rep.TileFiles != 0 || rep.TilesLabeled != external || rep.FilesShipped != len(want) {
+		t.Fatalf("%s, want %d external tiles labeled and %d files shipped", rep.Summary(), external, len(want))
+	}
+	for name, labels := range want {
+		got, err := tile.ReadNetCDF(filepath.Join(cfg.DestDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tl := range got {
+			if tl.Label != labels[i] {
+				t.Fatalf("%s tile %d: label %d, want %d", name, i, tl.Label, labels[i])
+			}
+		}
+	}
+}
+
+// TestRunJoinsAllLabelFileFailures: every tile file in TileDir whose
+// label-file lease fails is counted in FlowsFailed and named in the
+// run's error — all of them, not just the first.
+func TestRunJoinsAllLabelFileFailures(t *testing.T) {
+	granules := findProductiveGranules(t, 1, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	cfg := testConfig(t, ts.URL, nil)
+	if err := os.MkdirAll(cfg.TileDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bad1.nc", "bad2.nc"} {
+		if err := os.WriteFile(filepath.Join(cfg.TileDir, name), []byte("not netcdf"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := New(cfg, labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := make(chan int)
+	close(arrivals)
+	rep, err := p.RunStream(context.Background(), arrivals)
+	if err == nil {
+		t.Fatal("bad tile files produced no error")
+	}
+	if rep.FlowsFailed != 2 {
+		t.Fatalf("FlowsFailed = %d, want 2", rep.FlowsFailed)
+	}
+	for _, name := range []string{"bad1.nc", "bad2.nc"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("run error omits %s: %v", name, err)
+		}
+	}
+}
+
 // TestLocalRunIsFleetOfOne: a local run leases exactly one task per
 // granule to its in-process fleet, whose series replace the old
 // executor's on the run's registry, and the monitor never sees a tile

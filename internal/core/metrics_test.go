@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/eoml/eoml/internal/fleet"
 	"github.com/eoml/eoml/internal/laads"
@@ -94,7 +96,7 @@ func TestStreamingMetricsScrape(t *testing.T) {
 	}
 	for _, want := range []string{
 		"eoml_stage_events_total", "eoml_stage_seconds",
-		"eoml_laads_client_requests_total", "eoml_labeler_batch_tiles",
+		"eoml_laads_client_requests_total",
 		"eoml_inference_tiles_labeled_total", "eoml_fleet_tasks_inflight",
 	} {
 		if !fams[want] {
@@ -215,5 +217,141 @@ func TestOperationsDocCoversAllMetrics(t *testing.T) {
 		if !names[tok] && !names[base] {
 			t.Errorf("docs/OPERATIONS.md mentions %s, which no component registers", tok)
 		}
+	}
+}
+
+// TestRunInstrumentsStages: a clean run leaves one latency sample per
+// stage that has a span, every stage done and /healthz healthy.
+func TestRunInstrumentsStages(t *testing.T) {
+	granules := findProductiveGranules(t, 1, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	p, err := New(testConfig(t, ts.URL, granules), labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]int64{}
+	for _, f := range rep.Metrics {
+		if f.Name != "eoml_stage_seconds" {
+			continue
+		}
+		for _, s := range f.Series {
+			for _, l := range s.Labels {
+				if l.Key == "stage" && s.Histogram != nil {
+					samples[l.Value] = s.Histogram.Count
+				}
+			}
+		}
+	}
+	healthy, stages := p.Health().Check()
+	if !healthy {
+		t.Fatalf("unhealthy after a clean run: %+v", stages)
+	}
+	state := map[string]string{}
+	for _, st := range stages {
+		state[st.Stage] = st.State
+	}
+	for _, name := range []string{"preprocess", "inference", "shipment"} {
+		if samples[name] != 1 {
+			t.Errorf("stage %s has %d latency samples, want 1", name, samples[name])
+		}
+		if _, ok := rep.Spans.Get(name); !ok {
+			t.Errorf("stage %s has no span", name)
+		}
+		if state[name] != metrics.StateDone {
+			t.Errorf("stage %s is %s after the run, want done", name, state[name])
+		}
+	}
+}
+
+// TestStageFailureCountsAndMarksUnhealthy: a stage that fails counts
+// the failure and leaves /healthz unhealthy.
+func TestStageFailureCountsAndMarksUnhealthy(t *testing.T) {
+	granules := findProductiveGranules(t, 1, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	p, err := New(testConfig(t, ts.URL, nil), labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsrv := httptest.NewServer(p.Health())
+	defer hsrv.Close()
+	arrivals := make(chan int, 1)
+	arrivals <- 999
+	close(arrivals)
+	rep, err := p.RunStream(context.Background(), arrivals)
+	if err == nil || !strings.Contains(err.Error(), "stage preprocess") {
+		t.Fatalf("run error = %v, want the preprocess stage's", err)
+	}
+	for _, f := range rep.Metrics {
+		if f.Name != "eoml_stage_failures_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			want := 0.0
+			if s.Labels[0].Value == "preprocess" {
+				want = 1
+			}
+			if s.Value != want {
+				t.Errorf("%s%v = %v, want %v", f.Name, s.Labels, s.Value, want)
+			}
+		}
+	}
+	if code, body := scrape(t, hsrv.URL); code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz after a stage failure = %d, want 503\n%s", code, body)
+	}
+}
+
+// TestInferenceStallFlipsHealthz is the acceptance check for
+// stall_timeout_ms: while the inference stage goes longer than its
+// stall budget without a file published labeled, /healthz reports it
+// stalled. Stalling aborts nothing; the run finishes once its feed
+// closes, healthy again.
+func TestInferenceStallFlipsHealthz(t *testing.T) {
+	granules := findProductiveGranules(t, 1, 3)
+	labeler := trainTestLabeler(t, granules[0])
+	ts := newArchive(t)
+	cfg := testConfig(t, ts.URL, nil)
+	cfg.StallTimeout = 30 * time.Millisecond
+	p, err := New(cfg, labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsrv := httptest.NewServer(p.Health())
+	defer hsrv.Close()
+	arrivals := make(chan int)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.RunStream(context.Background(), arrivals)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		code, body := scrape(t, hsrv.URL)
+		var health struct{ Stages []metrics.StageHealth }
+		if err := json.Unmarshal([]byte(body), &health); err != nil {
+			t.Fatal(err)
+		}
+		stalled := false
+		for _, st := range health.Stages {
+			stalled = stalled || st.Stage == "inference" && st.Stalled
+		}
+		if code == http.StatusServiceUnavailable && stalled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz never reported inference stalled: %d %s", code, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(arrivals)
+	if err := <-done; err != nil {
+		t.Fatalf("a stalled stage aborted the run: %v", err)
+	}
+	if code, body := scrape(t, hsrv.URL); code != http.StatusOK {
+		t.Fatalf("/healthz after the run = %d, want 200\n%s", code, body)
 	}
 }

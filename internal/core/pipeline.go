@@ -11,7 +11,6 @@ import (
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/provenance"
-	"github.com/eoml/eoml/internal/stage"
 	"github.com/eoml/eoml/internal/trace"
 )
 
@@ -24,7 +23,7 @@ type Report struct {
 	TilesProduced     int
 	TilesLabeled      int
 	FilesShipped      int
-	FlowsFailed       int // label-and-move flows that errored
+	FlowsFailed       int // label-file flows (tile files from TileDir) that failed
 	Elapsed           time.Duration
 
 	// Stage telemetry (Fig. 6 / Fig. 7 counterparts for real runs).
@@ -38,18 +37,16 @@ type Report struct {
 
 // Run is one isolated execution of the five-stage workflow, built by
 // Engine.NewRun. Batch execution (Run) is streaming execution
-// (RunStream) over a closed feed of the configured granules: one driver
-// over the stage objects from internal/stage and the granule driver in
-// core/fleet.go. Every Run owns its own metric registry, health
-// tracker, and stage state; the kernels and archive quota it uses are
-// the engine's shared ones.
+// (RunStream) over a closed feed of the configured granules: one
+// straight-line driver (core/stream.go) over the fleet driver in
+// core/fleet.go. Every Run owns its own metric registry and health
+// tracker; the kernels and archive quota it uses are the engine's
+// shared ones.
 type Run struct {
 	cfg    Config
 	id     string
 	tenant string
-	// labeler labels tile files other writers drop into TileDir.
-	labeler *aicca.Labeler
-	prov    *provenance.Store
+	prov   *provenance.Store
 	// kernels is the engine's granule kernel set, which an in-process
 	// fleet of one runs the run's granules on.
 	kernels *fleet.Kernels
@@ -117,71 +114,12 @@ func (p *Run) Metrics() *metrics.Registry { return p.metrics }
 // directly on /healthz.
 func (p *Run) Health() *metrics.Health { return p.health }
 
-// newReport builds the report and the shared run context the driver
-// hands to the stage orchestrator.
-func (p *Run) newReport() (*Report, *stage.RunContext) {
-	rep := &Report{
-		Timeline: trace.NewTimeline(),
-		Spans:    trace.NewSpans(),
-	}
-	rc := &stage.RunContext{
-		Epoch:    time.Now(),
-		Timeline: rep.Timeline,
-		Spans:    rep.Spans,
-		Metrics:  p.metrics,
-		Health:   p.health,
-		Dirs:     []string{p.cfg.DataDir, p.cfg.TileDir, p.cfg.OutboxDir, p.cfg.DestDir},
-	}
-	return rep, rc
-}
-
-// inferenceService builds the shared monitor+inference stage: crawler,
-// flow engine, cross-file batcher, and bounded worker pool, armed at
-// setup. The run's own granules never reach it as tile files: the fleet
-// task publishes each labeled file itself and the driver reports it
-// through Published. The monitor stays armed over TileDir for tile files
-// other writers drop there — the paper's stage 3 exists for them.
-func (p *Run) inferenceService() *stage.InferenceService {
-	return stage.NewInferenceService(stage.InferenceConfig{
-		Labeler:      p.labeler,
-		BatchTiles:   p.cfg.BatchTiles,
-		Precision:    aicca.Precision(p.cfg.Precision),
-		WatchDir:     p.cfg.TileDir,
-		PollInterval: p.cfg.PollInterval,
-		Workers:      p.cfg.InferenceWorkers,
-		OutboxDir:    p.cfg.OutboxDir,
-		StallTimeout: p.cfg.StallTimeout,
-		OnMoved:      p.recordInference,
-	})
-}
-
-// shipment builds the stage-5 transfer, skipped when upstream produced
-// no tile files.
-func (p *Run) shipment(svc *stage.InferenceService) *stage.Shipment {
-	return stage.NewShipment(stage.ShipmentConfig{
-		SrcDir:    p.cfg.OutboxDir,
-		DestDir:   p.cfg.DestDir,
-		Skip:      func() bool { return svc.Expected() == 0 },
-		OnShipped: p.recordShipment,
-	})
-}
-
-// finish copies the stage outcomes into the report.
-func (p *Run) finish(rep *Report, rc *stage.RunContext, svc *stage.InferenceService, ship *stage.Shipment) {
-	rep.TilesLabeled = svc.TilesLabeled()
-	rep.FlowsFailed = svc.FlowsFailed()
-	rep.FilesShipped = ship.FilesShipped()
-	rep.Elapsed = time.Since(rc.Epoch)
-	rep.Metrics = p.metrics.Snapshot()
-}
-
 // Run executes the batch workflow: every configured granule is handed
 // to RunStream's driver at once. Each granule is one fleet task that
 // fetches whatever DataDir lacks, tiles, labels and publishes it into
-// OutboxDir; the inference service arms during orchestrator setup and
-// counts those files as they are published (and labels any tile file
-// another writer drops into TileDir); shipment begins once every file
-// is in.
+// OutboxDir, and each tile file another writer drops into TileDir
+// meanwhile is one label-file task; shipment begins once every file is
+// in.
 func (p *Run) Run(ctx context.Context) (*Report, error) {
 	ids := p.cfg.GranuleIDs()
 	arrivals := make(chan int, len(ids))

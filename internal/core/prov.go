@@ -67,8 +67,8 @@ func (p *Run) recordPreprocess(g modis.GranuleID, tilePath string, tiles int, st
 }
 
 // recordInference registers the labeled entity derived from a tile
-// file. It is wired into the stage layer as the inference service's
-// OnMoved hook, so every label-and-move flow reports through it.
+// file: a granule's, published by its own task, or one another writer
+// dropped into TileDir, published by its label-file task.
 func (p *Run) recordInference(tilePath, outboxPath string, labeled int, started, ended time.Time) {
 	if p.prov == nil {
 		return
@@ -94,8 +94,7 @@ func (p *Run) recordInference(tilePath, outboxPath string, labeled int, started,
 	})
 }
 
-// recordShipment registers shipped entities for each outbox file. It is
-// the shipment stage's OnShipped hook.
+// recordShipment registers shipped entities for each outbox file.
 func (p *Run) recordShipment(names []string, started, ended time.Time) {
 	if p.prov == nil || len(names) == 0 {
 		return

@@ -1,6 +1,8 @@
 // Package fleet is the real multi-process distribution layer: a
 // coordinator that leases granule tasks (fetch, tile, label, publish:
-// one lease per granule) to a pool of worker processes
+// one lease per granule) and label-file tasks (one per tile file
+// another writer drops into a run's tile directory) to a pool of
+// worker processes
 // (cmd/eoml-worker), each lease one HTTP request that the worker
 // answers when the task settles. Workers serve a compute.Registry,
 // register their URL with the coordinator, send heartbeats, and execute
@@ -24,15 +26,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eoml/eoml/internal/compute"
 	"github.com/eoml/eoml/internal/metrics"
 )
 
 // Transport executes one task on a worker and blocks until the task
 // finishes; canceling ctx cancels the task. A returned *TaskError means
 // the task failed on the worker (fatal for the task); any other error is
-// a transport failure (worker unreachable or gone, or an error
-// wrapping compute.ErrDraining) and the coordinator requeues the lease.
+// a transport failure (worker unreachable or gone) and the coordinator
+// requeues the lease and evicts the worker.
 type Transport interface {
 	Run(ctx context.Context, workerURL, function string, args map[string]any) (any, error)
 }
@@ -235,7 +236,7 @@ func (c *Coordinator) Instrument(reg *metrics.Registry) {
 		"Tasks that failed terminally (task error, cancellation, or attempts exhausted).",
 		func() float64 { return float64(c.failed.Load()) })
 	reg.CounterFunc("eoml_fleet_tasks_requeued_total",
-		"Leases returned to the queue after a transport failure, drain rejection, or worker eviction.",
+		"Leases returned to the queue after a transport failure or worker eviction.",
 		func() float64 { return float64(c.requeued.Load()) })
 	reg.CounterFunc("eoml_fleet_tasks_stolen_total",
 		"Speculative duplicate leases dispatched to idle workers from stragglers.",
@@ -551,15 +552,13 @@ func (c *Coordinator) execute(t *task, w *worker) {
 		// so retrying elsewhere cannot help.
 		c.completeLocked(t, nil, err)
 	default:
-		// Transport failure: requeue the lease. A non-drain failure
-		// (connection refused or cut) is strong evidence the worker
-		// process died, so evict it now instead of waiting out
-		// its heartbeat budget; a draining worker is shutting down
-		// cleanly and deregisters itself.
+		// Transport failure: requeue the lease. A worker that cannot
+		// be reached or answers out of protocol (connection refused or
+		// cut, a non-200 answer) is strong evidence the worker process
+		// died, so evict it now instead of waiting out its heartbeat
+		// budget.
 		c.requeueLocked(t, err)
-		if !errors.Is(err, compute.ErrDraining) {
-			c.evictLocked(w.id, err)
-		}
+		c.evictLocked(w.id, err)
 	}
 	c.dispatchLocked()
 	c.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/eoml/eoml/internal/compute"
 	"github.com/eoml/eoml/internal/metrics"
 )
 
@@ -155,22 +154,15 @@ func TestFleetInFlightBounds(t *testing.T) {
 	}
 }
 
-// TestFleetDrainingRequeue: a drain rejection (compute.ErrDraining) is
-// a transport failure, so the lease requeues and retries instead of
-// failing the task.
+// TestFleetDrainingRequeue: a worker that drained — deregistration
+// not yet seen, listener already closed — refuses the connection. That
+// transport failure evicts it and requeues the lease onto a live
+// worker instead of failing the task.
 func TestFleetDrainingRequeue(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
 	c := NewCoordinator(Config{
 		Transport: transportFunc(func(ctx context.Context, url, fn string, args map[string]any) (any, error) {
-			mu.Lock()
-			calls++
-			first := calls == 1
-			mu.Unlock()
-			if first {
-				// What HTTPTransport.Run returns when the worker
-				// answered 503 mid-drain.
-				return nil, fmt.Errorf("fleet: run on http://w: 503 Service Unavailable: %w", compute.ErrDraining)
+			if url == "http://a-drained" {
+				return nil, fmt.Errorf("dial tcp: connection refused")
 			}
 			return "ok", nil
 		}),
@@ -178,8 +170,11 @@ func TestFleetDrainingRequeue(t *testing.T) {
 	defer c.Close()
 	reg := metrics.NewRegistry()
 	c.Instrument(reg)
-	if err := c.Register("w1", "http://w1", 1); err != nil {
-		t.Fatal(err)
+	// Ties go to the lower ID, so the first lease lands on the drained one.
+	for _, id := range []string{"a-drained", "b-live"} {
+		if err := c.Register(id, "http://"+id, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx := context.Background()
 	fut, err := c.Submit(ctx, "work", nil)
@@ -193,11 +188,17 @@ func TestFleetDrainingRequeue(t *testing.T) {
 	if v != "ok" {
 		t.Fatalf("result = %v", v)
 	}
-	if got := counterValue(t, reg, "eoml_fleet_tasks_requeued_total"); got != 1 {
-		t.Fatalf("requeued = %v, want 1", got)
+	for name, want := range map[string]float64{
+		"eoml_fleet_tasks_requeued_total":  1,
+		"eoml_fleet_workers_evicted_total": 1,
+		"eoml_fleet_tasks_failed_total":    0,
+	} {
+		if got := counterValue(t, reg, name); got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if got := counterValue(t, reg, "eoml_fleet_tasks_failed_total"); got != 0 {
-		t.Fatalf("failed = %v, want 0", got)
+	if ws := c.Workers(); len(ws) != 1 || ws[0].ID != "b-live" {
+		t.Fatalf("live workers %+v, want only b-live", ws)
 	}
 }
 
@@ -235,9 +236,9 @@ func TestFleetTaskErrorFatal(t *testing.T) {
 }
 
 // TestFleetMaxAttempts: persistent transport failure exhausts the
-// attempt budget and fails the task. Drain rejections are used because
-// they requeue without evicting the worker, so every retry has a
-// worker to bounce off.
+// attempt budget and fails the task. Each failure evicts the worker it
+// hit, so the fleet holds one more worker than the budget: the task
+// fails on its budget, with a worker still left to lease it to.
 func TestFleetMaxAttempts(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
@@ -247,14 +248,16 @@ func TestFleetMaxAttempts(t *testing.T) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
-			return nil, fmt.Errorf("always busy: %w", compute.ErrDraining)
+			return nil, fmt.Errorf("dial tcp: connection refused")
 		}),
 	})
 	defer c.Close()
 	reg := metrics.NewRegistry()
 	c.Instrument(reg)
-	if err := c.Register("w1", "http://w1", 1); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"w1", "w2", "w3", "w4"} {
+		if err := c.Register(id, "http://"+id, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fut, err := c.Submit(context.Background(), "work", nil)
 	if err != nil {
@@ -271,6 +274,9 @@ func TestFleetMaxAttempts(t *testing.T) {
 	mu.Unlock()
 	if got := counterValue(t, reg, "eoml_fleet_tasks_failed_total"); got != 1 {
 		t.Fatalf("failed = %v, want 1", got)
+	}
+	if ws := c.Workers(); len(ws) != 1 {
+		t.Fatalf("live workers %+v, want the one the budget never reached", ws)
 	}
 }
 

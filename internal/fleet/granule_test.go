@@ -27,23 +27,36 @@ import (
 	"github.com/eoml/eoml/internal/tile"
 )
 
-// granuleKernel returns the worker-side granule function of a fresh
-// kernel set — what a worker would run for a lease.
-func granuleKernel(t *testing.T) compute.Function {
+// kernelSet returns the task functions of a fresh kernel set with one
+// compute slot — what one worker would run for its leases.
+func kernelSet(t *testing.T) *compute.Registry {
 	t.Helper()
 	reg := compute.NewRegistry()
 	if err := fleet.NewKernels().Register(reg, make(chan struct{}, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	fn, err := reg.Lookup(fleet.GranuleFunction)
+	return reg
+}
+
+// lookup returns the named task function of a kernel set.
+func lookup(t *testing.T, reg *compute.Registry, function string) compute.Function {
+	t.Helper()
+	fn, err := reg.Lookup(function)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fn
 }
 
+// granuleKernel returns the worker-side granule function of a fresh
+// kernel set — what a worker would run for a lease.
+func granuleKernel(t *testing.T) compute.Function {
+	t.Helper()
+	return lookup(t, kernelSet(t), fleet.GranuleFunction)
+}
+
 // granuleTask builds one granule task over fresh directories; the
-// outbox exists, as it does once a run's orchestrator has started.
+// outbox exists, as it does once a run has started.
 func granuleTask(t *testing.T, archiveURL string, idx int, model, codebook, precision string) fleet.GranuleArgs {
 	t.Helper()
 	root := t.TempDir()
@@ -410,30 +423,38 @@ func TestWorkerCanceledLeaseSparesSharedFetch(t *testing.T) {
 	}
 }
 
-// routedTransport runs leases in-process: each worker URL maps to the
-// granule function of that worker's kernel set, behind an optional hook
-// the test uses to hold, fail or observe a lease. The kernel runs under
-// the lease's context, as on a real worker: a lease the coordinator
-// drops is canceled.
+// routedTransport runs leases in-process: each worker URL maps to that
+// worker's kernel set, behind an optional hook the test uses to hold,
+// fail or observe a lease. The kernel runs under the lease's context,
+// as on a real worker: a lease the coordinator drops is canceled.
 type routedTransport struct {
-	kernels map[string]compute.Function
-	before  func(ctx context.Context, url string, args map[string]any) error
+	kernels map[string]*compute.Registry
+	before  func(ctx context.Context, url, function string, args map[string]any) error
 	after   func(url string, err error)
 }
 
-func (r *routedTransport) Run(ctx context.Context, url, _ string, args map[string]any) (v any, err error) {
+func (r *routedTransport) Run(ctx context.Context, url, function string, args map[string]any) (v any, err error) {
 	if r.after != nil {
 		defer func() { r.after(url, err) }()
 	}
 	if r.before != nil {
-		if err := r.before(ctx, url, args); err != nil {
+		if err := r.before(ctx, url, function, args); err != nil {
 			return nil, err
 		}
 	}
-	if v, err = r.kernels[url](ctx, args); err != nil {
+	if v, err = r.call(ctx, url, function, args); err != nil {
 		return nil, &fleet.TaskError{Msg: err.Error()}
 	}
 	return v, nil
+}
+
+// call runs the named function of url's kernel set, with no hook.
+func (r *routedTransport) call(ctx context.Context, url, function string, args map[string]any) (any, error) {
+	fn, err := r.kernels[url].Lookup(function)
+	if err != nil {
+		return nil, err
+	}
+	return fn(ctx, args)
 }
 
 // fleetCounter reads one coordinator counter.
@@ -473,11 +494,12 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 		{"thief in the primary's process, canceled duplicate", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			primary := granuleKernel(t)
+			primary := kernelSet(t)
 			thief := primary
 			if !tc.sharedCache {
-				thief = granuleKernel(t)
+				thief = kernelSet(t)
 			}
+			primaryGranule := lookup(t, primary, fleet.GranuleFunction)
 			var mu sync.Mutex
 			now := time.Now()
 			clock := func() time.Time {
@@ -492,8 +514,8 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 			duplicateDone := make(chan error, 1)
 			errOutOfBand := errors.New("duplicate ran past its cancellation point")
 			tr := &routedTransport{
-				kernels: map[string]compute.Function{"http://primary": primary, "http://thief": thief},
-				before: func(ctx context.Context, url string, args map[string]any) error {
+				kernels: map[string]*compute.Registry{"http://primary": primary, "http://thief": thief},
+				before: func(ctx context.Context, url, _ string, args map[string]any) error {
 					if url != "http://primary" {
 						return nil
 					}
@@ -504,7 +526,7 @@ func TestGranuleStolenLeaseExactlyOnce(t *testing.T) {
 					}
 					// The duplicate passed the kernel's last ctx check
 					// before the thief won: run it to completion.
-					if _, err := primary(context.WithoutCancel(ctx), args); err != nil {
+					if _, err := primaryGranule(context.WithoutCancel(ctx), args); err != nil {
 						return err
 					}
 					return errOutOfBand
@@ -622,17 +644,17 @@ func TestGranuleRequeuedAfterWorkerDeath(t *testing.T) {
 	cfg := runConfig(t, archive.URL, granules, model, codebook, core.DistributionFleet)
 	var victimWrote map[string][]byte
 	tr := &routedTransport{
-		kernels: map[string]compute.Function{"http://a-victim": granuleKernel(t), "http://b-survivor": granuleKernel(t)},
+		kernels: map[string]*compute.Registry{"http://a-victim": kernelSet(t), "http://b-survivor": kernelSet(t)},
 	}
 	died := false
-	tr.before = func(ctx context.Context, url string, args map[string]any) error {
+	tr.before = func(ctx context.Context, url, function string, args map[string]any) error {
 		if url != "http://a-victim" || died {
 			return nil
 		}
 		died = true
 		// The victim's slot ran the whole kernel; the process died before
 		// it could answer the lease.
-		if _, err := tr.kernels[url](ctx, args); err != nil {
+		if _, err := tr.call(ctx, url, function, args); err != nil {
 			return err
 		}
 		victimWrote = dirFiles(t, cfg.OutboxDir)
@@ -685,55 +707,23 @@ func TestGranuleRequeuedAfterWorkerDeath(t *testing.T) {
 
 // TestFleetRunLabelsExternalTileFiles: the monitor & trigger stage stays
 // armed under fleet distribution. A tile file some other writer drops
-// into TileDir while the fleet works is still labeled in-process, moved
-// and shipped alongside the workers' own products.
+// into TileDir becomes one eoml.label_file lease, labeled on a worker
+// process with the labels Labeler.LabelTiles gives its tiles, and
+// shipped alongside the workers' own products.
 func TestFleetRunLabelsExternalTileFiles(t *testing.T) {
 	archive := newArchive(t)
 	granules := productiveGranules(t, 2, 2)
 	model, codebook := trainAndSave(t, granules[0])
 	cfg := runConfig(t, archive.URL, granules[:1], model, codebook, core.DistributionFleet)
+	want := externalTileFile(t, archive.URL, granules[1], model, codebook, filepath.Join(cfg.TileDir, "external.nc"))
 
-	// The external writer's product: another granule's tiles with the
-	// labels a worker gave them (want) wiped.
-	ext := granuleTask(t, archive.URL, granules[1], model, codebook, "")
-	extTiles, err := tile.ReadNetCDF(runGranule(t, granuleKernel(t), ext).File)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int16, len(extTiles))
-	for i, tl := range extTiles {
-		want[i], tl.Label = tl.Label, -1
-	}
-
-	// Fleet leases wait until the external file has come out labeled, so
-	// the run cannot finish before the monitor path has done its work.
-	externalOut := filepath.Join(cfg.OutboxDir, "external.nc")
-	tr := &routedTransport{
-		kernels: map[string]compute.Function{"http://w": granuleKernel(t)},
-		before: func(ctx context.Context, _ string, _ map[string]any) error {
-			for {
-				if _, err := os.Stat(externalOut); err == nil {
-					return nil
-				}
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(time.Millisecond):
-				}
-			}
-		},
-	}
-	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Hour, Transport: tr})
+	coord := fleet.NewCoordinator(fleet.Config{})
 	defer coord.Close()
-	if err := coord.Register("w", "http://w", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(cfg.TileDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := tile.WriteNetCDF(filepath.Join(cfg.TileDir, "external.nc"), extTiles); err != nil {
-		t.Fatal(err)
-	}
+	reg := metrics.NewRegistry()
+	coord.Instrument(reg)
+	cp := httptest.NewServer(coord.Handler())
+	defer cp.Close()
+	startWorkers(t, cp.URL, 1, 1)
 	run, err := core.NewEngine(core.EngineOptions{Fleet: coord}).NewRun(cfg, core.RunOptions{ID: "external"})
 	if err != nil {
 		t.Fatal(err)
@@ -744,23 +734,18 @@ func TestFleetRunLabelsExternalTileFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TilesLabeled != rep.TilesProduced+len(extTiles) {
+	if rep.TilesLabeled != rep.TilesProduced+len(want) {
 		t.Fatalf("labeled %d tiles, want the fleet's %d plus the external file's %d",
-			rep.TilesLabeled, rep.TilesProduced, len(extTiles))
+			rep.TilesLabeled, rep.TilesProduced, len(want))
+	}
+	if got := fleetCounter(t, reg, "eoml_fleet_tasks_submitted_total"); got != 2 {
+		t.Fatalf("submitted %v tasks, want one granule and one label-file lease", got)
 	}
 	labels := destLabels(t, cfg.DestDir)
 	if len(labels) != 2 {
 		t.Fatalf("shipped %d files, want the granule's and the external one", len(labels))
 	}
-	got := labels["external.nc"]
-	if len(got) != len(want) {
-		t.Fatalf("external.nc shipped %d tiles, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] || got[i] < 0 {
-			t.Fatalf("external.nc tile %d: label %d, want %d", i, got[i], want[i])
-		}
-	}
+	sameLabels(t, "external.nc", labels["external.nc"], want)
 	if left := dirFiles(t, cfg.TileDir); len(left) != 0 {
 		t.Fatalf("TileDir still holds %d file(s)", len(left))
 	}

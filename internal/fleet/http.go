@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"github.com/eoml/eoml/internal/compute"
 )
 
 // Both sides of the fleet wire protocol. The coordinator serves
@@ -284,15 +282,7 @@ func (HTTPTransport) Run(ctx context.Context, workerURL, function string, args m
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("fleet: run on %s: %s: %s", workerURL, resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// "Unavailable for now": the coordinator requeues it without
-			// evicting the worker, whose heartbeats decide its liveness.
-			// The eoml worker never sends one; it drains by closing its
-			// listener.
-			return nil, fmt.Errorf("%w: %w", err, compute.ErrDraining)
-		}
-		return nil, err
+		return nil, fmt.Errorf("fleet: run on %s: %s: %s", workerURL, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var rr runResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&rr); err != nil {

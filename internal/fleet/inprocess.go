@@ -41,8 +41,9 @@ func runTask(ctx context.Context, reg *compute.Registry, function string, args m
 }
 
 // NewInProcess returns a coordinator with one registered worker — this
-// process, running k's granule kernel — so an in-process run drives
-// granules through the same Submit/Future protocol as a remote fleet.
+// process, running k's kernels — so an in-process run drives granules
+// and tile files through the same Submit/Future protocol as a remote
+// fleet.
 // Like a remote worker it computes at most slots granules at once and
 // leases window more, which fetch their inputs while every slot is busy;
 // each archive fetch goes through client. Never Start it: sweeps,

@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"github.com/eoml/eoml/internal/laads"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/modis"
+	"github.com/eoml/eoml/internal/netcdf"
 	"github.com/eoml/eoml/internal/ricc"
 	"github.com/eoml/eoml/internal/tensor"
 	"github.com/eoml/eoml/internal/tile"
@@ -97,6 +100,50 @@ func ParseGranuleResult(v any) (GranuleResult, error) {
 	return r, nil
 }
 
+// LabelFileFunction names the task that labels one tile file another
+// writer dropped into a run's TileDir and publishes it for shipment.
+const LabelFileFunction = "eoml.label_file"
+
+// LabelFileArgs is the wire form of one label-file task: the tile file
+// (Src, on storage the worker shares), the outbox it is published into
+// under its own base name, and the model/codebook refs the worker loads.
+type LabelFileArgs struct {
+	Src       string `json:"src"`
+	OutboxDir string `json:"outbox_dir"`
+	Model     string `json:"model"`
+	Codebook  string `json:"codebook"`
+	Precision string `json:"precision,omitempty"`
+}
+
+// Args flattens to the task functions' map form.
+func (a LabelFileArgs) Args() map[string]any {
+	var m map[string]any
+	_ = rewire(a, &m) // strings always encode
+	return m
+}
+
+// LabelFileResult reports one label-file task: the file it published,
+// how many tiles it labeled, and where the worker's wall time went.
+// Started is the worker's clock when the task began; the three phases
+// follow it back to back.
+type LabelFileResult struct {
+	File    string        `json:"file"`
+	Labeled int           `json:"labeled"`
+	Started time.Time     `json:"started"`
+	Read    time.Duration `json:"read_ns"`  // NetCDF read + decode
+	Label   time.Duration `json:"label_ns"` // wait for a compute slot + encode + codebook assignment
+	Write   time.Duration `json:"write_ns"` // NetCDF encode + temp write + rename
+}
+
+// ParseLabelFileResult decodes a label-file result from its wire form.
+func ParseLabelFileResult(v any) (LabelFileResult, error) {
+	var r LabelFileResult
+	if err := rewire(v, &r); err != nil {
+		return LabelFileResult{}, fmt.Errorf("fleet: label-file result: %w", err)
+	}
+	return r, nil
+}
+
 // rewire converts between a wire struct and the task functions'
 // generic form through JSON — the codec the HTTP hop applies anyway, so
 // a value reads the same whether or not it crossed a process boundary.
@@ -126,8 +173,8 @@ type KernelConfig struct {
 	Quota *laads.QuotaPool
 }
 
-// Kernels hosts the worker-side granule kernel against shared
-// per-process state: one decode arena for tile extraction, a
+// Kernels hosts the worker-side granule and label-file kernels against
+// shared per-process state: one decode arena for tile extraction, a
 // model/codebook cache for inference (loaded once per pair; core.Engine
 // embeds one Kernels and uses this as its only weights cache), a
 // content-addressed download cache, and
@@ -232,18 +279,44 @@ func (k *Kernels) Instrument(reg *metrics.Registry) {
 		func() float64 { return float64(k.fetching.Load()) })
 }
 
-// Register adds the granule task function to a compute registry. gate
-// holds the host's compute slots, one token each: a task fetches its
-// inputs without one and holds one only from "inputs present" to "file
-// published", so a host that runs more tasks than it has slots fetches
-// the surplus while the slots compute. client, when set, makes every
-// archive fetch of these tasks — a local run passes its own, carrying
-// its tenant's quota and the run's metrics; nil uses one shared client
-// per archive credential.
+// Register adds the granule and label-file task functions to a compute
+// registry. gate holds the host's compute slots, one token each: a
+// granule task fetches its inputs without one and holds one only from
+// "inputs present" to "file published", so a host that runs more tasks
+// than it has slots fetches the surplus while the slots compute; a
+// label-file task holds one to label and publish. client, when set, makes
+// every archive fetch of these tasks — a local run passes its own,
+// carrying its tenant's quota and the run's metrics; nil uses one
+// shared client per archive credential.
 func (k *Kernels) Register(reg *compute.Registry, gate chan struct{}, client *laads.Client) error {
-	return reg.Register(GranuleFunction, func(ctx context.Context, args map[string]any) (any, error) {
+	if err := reg.Register(GranuleFunction, func(ctx context.Context, args map[string]any) (any, error) {
 		return k.granule(ctx, args, gate, client)
+	}); err != nil {
+		return err
+	}
+	return reg.Register(LabelFileFunction, func(ctx context.Context, args map[string]any) (any, error) {
+		return k.labelFile(ctx, args, gate)
 	})
+}
+
+// acquire takes one of gate's compute slots, or fails when ctx ends
+// first.
+func acquire(ctx context.Context, gate chan struct{}) error {
+	select {
+	case gate <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// phaseClock times a task's back-to-back phases.
+type phaseClock struct{ mark time.Time }
+
+// end closes the phase that just ran into d and opens the next one.
+func (c *phaseClock) end(d *time.Duration) {
+	now := time.Now()
+	*d, c.mark = now.Sub(c.mark), now
 }
 
 // clientFor finds or creates the archive client for one url+token pair,
@@ -410,16 +483,12 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	if a.OutboxDir == "" {
 		return nil, fmt.Errorf("fleet: granule task needs outbox_dir")
 	}
-	l, err := k.Labeler(a.Model, a.Codebook)
-	if err != nil {
-		return nil, err
-	}
-	prec, err := aicca.ParsePrecision(a.Precision)
+	l, err := k.labelerFor(a.Model, a.Codebook, a.Precision)
 	if err != nil {
 		return nil, err
 	}
 	memoKey := fmt.Sprintf("granule|%s|%04d%03d.%d|%s|%d|%g|%s|%s|%v", a.Satellite, g.Year, g.DOY, g.Index,
-		a.OutboxDir, a.TilePixels, a.MinCloudFrac, a.Model, a.Codebook, prec)
+		a.OutboxDir, a.TilePixels, a.MinCloudFrac, a.Model, a.Codebook, l.Precision)
 	if v, ok := k.results.Get(memoKey); ok {
 		r := v.(GranuleResult)
 		if _, err := os.Stat(r.File); r.File == "" || err == nil {
@@ -430,24 +499,16 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 		}
 		k.results.Delete(memoKey) // output vanished; recompute
 	}
-	// phase closes the phase that just ran and opens the next one.
-	mark := out.Started
-	phase := func(d *time.Duration) {
-		now := time.Now()
-		*d, mark = now.Sub(mark), now
-	}
-
+	clock := phaseClock{mark: out.Started}
 	k.fetching.Add(1)
 	out.FetchedFiles, out.FetchedBytes, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
 	k.fetching.Add(-1)
 	if err != nil {
 		return nil, err
 	}
-	phase(&out.Fetch)
-	select {
-	case gate <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	clock.end(&out.Fetch)
+	if err := acquire(ctx, gate); err != nil {
+		return nil, err
 	}
 	defer func() { <-gate }()
 	var files [3]*hdf.File
@@ -465,22 +526,15 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	if err != nil {
 		return nil, err
 	}
-	phase(&out.Extract)
+	clock.end(&out.Extract)
 	if len(res.Tiles) == 0 {
 		k.results.Put(memoKey, out)
 		return out, nil // night granule or no ocean clouds
 	}
-	if l.Precision != prec {
-		// Shallow per-task override, same trick as aicca's BatchConfig:
-		// the shared model/codebook pointers stay cached.
-		ll := *l
-		ll.Precision = prec
-		l = &ll
-	}
 	if _, err := l.LabelTiles(res.Tiles); err != nil {
 		return nil, err
 	}
-	phase(&out.Label)
+	clock.end(&out.Label)
 	// A lease canceled while it computed (task timeout, forced stop) must
 	// not publish: nobody is waiting for this copy's file.
 	if err := ctx.Err(); err != nil {
@@ -490,9 +544,91 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	if err := tile.WriteNetCDF(out.File, res.Tiles); err != nil {
 		return nil, err
 	}
-	phase(&out.Write)
+	clock.end(&out.Write)
 	out.Tiles, out.Labeled = len(res.Tiles), len(res.Tiles)
 	k.results.Put(memoKey, out)
+	return out, nil
+}
+
+// parseLabelFileRef decodes and validates a label-file task and returns
+// the path it publishes: OutboxDir joined with the source's base name,
+// which must name a NetCDF file, so no src writes outside OutboxDir.
+func parseLabelFileRef(args map[string]any) (LabelFileArgs, string, error) {
+	var a LabelFileArgs
+	if err := rewire(args, &a); err != nil {
+		return a, "", fmt.Errorf("fleet: label-file task: %w", err)
+	}
+	if a.Src == "" || a.OutboxDir == "" {
+		return a, "", fmt.Errorf("fleet: label-file task needs src and outbox_dir")
+	}
+	name := filepath.Base(a.Src)
+	if !strings.HasSuffix(name, ".nc") {
+		return a, "", fmt.Errorf("fleet: label-file source %q is not a .nc file", a.Src)
+	}
+	return a, filepath.Join(a.OutboxDir, name), nil
+}
+
+// labelFile labels a tile file another writer dropped into a run's
+// TileDir: what tile.AppendLabels does — read the NetCDF, set its label
+// variable, write — except that the labeled file is published into
+// OutboxDir by unique-temp + rename and the source is never rewritten
+// or removed. Labeling and publishing hold one of gate's compute slots.
+//
+// The run removes the source once a lease succeeds, so a duplicate
+// lease (steal, requeue) that runs after that finds it gone and the
+// output published, and succeeds without writing anything; its result
+// is never the first, so its zero tile count is never booked.
+func (k *Kernels) labelFile(ctx context.Context, args map[string]any, gate chan struct{}) (any, error) {
+	out := LabelFileResult{Started: time.Now()}
+	a, dst, err := parseLabelFileRef(args)
+	if err != nil {
+		return nil, err
+	}
+	l, err := k.labelerFor(a.Model, a.Codebook, a.Precision)
+	if err != nil {
+		return nil, err
+	}
+	out.File = dst
+	f, err := netcdf.ReadFile(a.Src)
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := os.Stat(dst); serr == nil {
+			return out, nil
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	tiles, err := tile.FromNetCDF(f)
+	if err != nil {
+		return nil, err
+	}
+	clock := phaseClock{mark: out.Started}
+	clock.end(&out.Read)
+	if err := acquire(ctx, gate); err != nil {
+		return nil, err
+	}
+	defer func() { <-gate }()
+	labels, err := l.LabelTiles(tiles)
+	if err != nil {
+		return nil, err
+	}
+	v, err := f.Var("label")
+	if err == nil {
+		err = v.SetShorts(labels)
+	}
+	if err != nil {
+		return nil, err
+	}
+	clock.end(&out.Label)
+	// As in granule: a lease canceled while it computed must not publish.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := netcdf.WriteFile(dst, f); err != nil {
+		return nil, err
+	}
+	clock.end(&out.Write)
+	out.Labeled = len(labels)
 	return out, nil
 }
 
@@ -526,6 +662,26 @@ func (k *Kernels) Labeler(model, codebook string) (*aicca.Labeler, error) {
 		return nil, err
 	}
 	k.models[key] = l
+	return l, nil
+}
+
+// labelerFor is Labeler with the task's encode precision applied: a
+// shallow per-task copy when it differs, so the shared model and
+// codebook pointers stay cached.
+func (k *Kernels) labelerFor(model, codebook, precision string) (*aicca.Labeler, error) {
+	l, err := k.Labeler(model, codebook)
+	if err != nil {
+		return nil, err
+	}
+	prec, err := aicca.ParsePrecision(precision)
+	if err != nil {
+		return nil, err
+	}
+	if l.Precision != prec {
+		ll := *l
+		ll.Precision = prec
+		l = &ll
+	}
 	return l, nil
 }
 

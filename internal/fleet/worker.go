@@ -28,8 +28,8 @@ type WorkerConfig struct {
 	// default is the actual listen address. Set it when the worker sits
 	// behind NAT or a different hostname (multi-facility).
 	AdvertiseURL string
-	// Slots is how many granule tasks compute (decode, tile, label,
-	// write) at once; default 1.
+	// Slots is how many tasks compute at once (a granule's decode, tile,
+	// label and write; a tile file's encode); default 1.
 	Slots int
 	// Heartbeat overrides the cadence the coordinator requests; 0 obeys
 	// the coordinator.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,15 +82,18 @@ func TestWorkerLifecycle(t *testing.T) {
 	}
 }
 
-// TestWorkerServesGranuleKernel: the one granule task function — and no
-// other standard kernel — is registered on every worker.
+// TestWorkerServesGranuleKernel: the granule and label-file task
+// functions — and no other standard kernel — are registered on every
+// worker.
 func TestWorkerServesGranuleKernel(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{ID: "k", CoordinatorURL: "http://unused"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fns := w.reg.Names(); len(fns) != 1 || fns[0] != GranuleFunction {
-		t.Fatalf("worker functions = %v, want exactly [%s]", fns, GranuleFunction)
+	fns := w.reg.Names()
+	sort.Strings(fns)
+	if len(fns) != 2 || fns[0] != GranuleFunction || fns[1] != LabelFileFunction {
+		t.Fatalf("worker functions = %v, want exactly [%s %s]", fns, GranuleFunction, LabelFileFunction)
 	}
 }
 
@@ -300,9 +304,8 @@ func TestWorkerStopDeliversRunningLease(t *testing.T) {
 
 // TestHTTPTransportErrors: what the transport reads as a task failure
 // (fatal) and what as a transport failure (requeue). Args JSON cannot
-// encode are a *TaskError before any request; a 503 is the typed drain
-// rejection; any other non-200 answer and an over-long answer are plain
-// transport failures.
+// encode are a *TaskError before any request; any non-200 answer, a 503
+// included, and an over-long answer are transport failures.
 func TestHTTPTransportErrors(t *testing.T) {
 	ctx := context.Background()
 	var tr HTTPTransport
@@ -311,22 +314,21 @@ func TestHTTPTransportErrors(t *testing.T) {
 		t.Fatalf("unencodable args = %v, want a *TaskError", err)
 	}
 	for _, tc := range []struct {
-		name     string
-		answer   func(http.ResponseWriter)
-		draining bool
+		name   string
+		answer func(http.ResponseWriter)
 	}{
-		{"draining", func(w http.ResponseWriter) { http.Error(w, "draining", http.StatusServiceUnavailable) }, true},
-		{"not found", func(w http.ResponseWriter) { http.NotFound(w, nil) }, false},
-		{"server error", func(w http.ResponseWriter) { http.Error(w, "oops", http.StatusInternalServerError) }, false},
+		{"unavailable", func(w http.ResponseWriter) { http.Error(w, "busy", http.StatusServiceUnavailable) }},
+		{"not found", func(w http.ResponseWriter) { http.NotFound(w, nil) }},
+		{"server error", func(w http.ResponseWriter) { http.Error(w, "oops", http.StatusInternalServerError) }},
 		{"over-long answer", func(w http.ResponseWriter) {
 			fmt.Fprintf(w, `{"result": "%s"}`, strings.Repeat("x", maxBody))
-		}, false},
+		}},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { tc.answer(w) }))
 		_, err := tr.Run(ctx, srv.URL, "f", nil)
 		srv.Close()
-		if err == nil || errors.As(err, &taskErr) || errors.Is(err, compute.ErrDraining) != tc.draining {
-			t.Fatalf("%s: error %v, want a transport failure (draining %v)", tc.name, err, tc.draining)
+		if err == nil || errors.As(err, &taskErr) {
+			t.Fatalf("%s: error %v, want a transport failure", tc.name, err)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// inferenceFlowJSON has the shape of the paper's stage-3 flow (and of
-// internal/stage's): label the file, move it to the outbox, succeed.
+// inferenceFlowJSON has the shape of the paper's stage-3 flow: label
+// the file, move it to the outbox, succeed.
 const inferenceFlowJSON = `{
   "Comment": "EO-ML inference flow",
   "StartAt": "Infer",

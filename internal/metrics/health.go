@@ -17,10 +17,9 @@ const (
 
 // Health tracks per-stage liveness for /healthz. Stages are Watched
 // with a stall budget, Beat on every unit of progress, and marked Done
-// or Failed by the orchestrator. The run is unhealthy when any stage
-// has Failed, or when an active stage with a positive stall budget has
-// not Beat within it — the live counterpart of the inference service's
-// stall_timeout_ms abort.
+// or Failed by the run driver. The run is unhealthy when any stage has
+// Failed, or when an active stage with a positive stall budget has not
+// Beat within it (the inference stage's stall_timeout_ms).
 //
 // A nil *Health is valid: all mutators are no-ops and the state reads
 // healthy, mirroring the nil *Registry convention.
