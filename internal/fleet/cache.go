@@ -5,8 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,11 +24,13 @@ import (
 // the archive token, file name) — the token participates hashed so two
 // tenants with different credentials never share entries and the
 // credential itself never appears on disk. Each entry is a pair of
-// files under the cache directory, `<key>.granule` (the payload,
-// written temp+rename so a crash never leaves a partial entry) and
-// `<key>.sha256` (the payload's content hash). Every hit re-verifies
-// the content hash; a corrupted or truncated entry is evicted and the
-// fetch falls through to the archive.
+// files under the cache directory, `<key>.granule` (the payload: a hard
+// link to the file the fetch wrote, placed by rename so a crash never
+// leaves a partial entry) and `<key>.sha256` (the payload's content
+// hash, taken over the bytes the fetch wrote). Every hit reads the whole
+// entry once and verifies those bytes against the hash before serving
+// them; a corrupted or truncated entry is evicted and the fetch falls
+// through to the archive.
 //
 // Size is bounded by LRU eviction, and concurrent fetches of one key
 // coalesce: the first caller downloads, the rest wait and read the
@@ -54,6 +57,8 @@ type DownloadCache struct {
 	// fill: served without an archive request of their own, but not from
 	// a resident entry either — neither a hit nor a miss.
 	coalesced atomic.Int64
+	// linkSeq numbers ingest's link temps.
+	linkSeq atomic.Int64
 }
 
 // cacheEntry is one cached granule file.
@@ -185,7 +190,29 @@ func (c *DownloadCache) SizeBytes() int64 {
 // Only the former counts as a hit in Stats; a cold fetch that coalesced
 // onto another lease's download is counted in Coalesced instead, so the
 // hit ratio of a cold cache reads 0.
+//
+// Fetch is FetchBytes with the content dropped: its miss reads the
+// filled file once for the hash.
 func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, error)) (string, bool, error) {
+	path, _, hit, err := c.FetchBytes(ctx, key, destDir, func(ctx context.Context) (string, []byte, error) {
+		p, err := fill(ctx)
+		if err != nil {
+			return "", nil, err
+		}
+		data, err := os.ReadFile(p)
+		return p, data, err
+	})
+	return path, hit, err
+}
+
+// FetchBytes is Fetch for a caller that decodes the file next, and
+// returns the file's content with it. Its fill returns the bytes it
+// wrote to the path along with the path. On a miss the call hashes
+// those bytes for the cache and returns them; on a hit it reads the
+// entry once and returns the very bytes that passed verification. The
+// returned data is nil when the call waited on another caller's fill of
+// the same destination; the file is then on disk at the returned path.
+func (c *DownloadCache) FetchBytes(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, []byte, error)) (string, []byte, bool, error) {
 	kh := key.hash()
 	dest := filepath.Join(destDir, key.Name)
 	served := &c.hits // becomes &c.coalesced once this call has waited on a fill
@@ -195,9 +222,9 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 		if el, ok := c.entries[kh]; ok {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
-			if err := c.materialize(kh, dest); err == nil {
+			if data, err := c.materialize(kh, dest); err == nil {
 				served.Add(1)
-				return dest, true, nil
+				return dest, data, true, nil
 			}
 			// Corrupted, truncated, or vanished entry: evict and fall
 			// through to a real fetch.
@@ -213,7 +240,7 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 			select {
 			case <-call.done:
 			case <-ctx.Done():
-				return "", false, ctx.Err()
+				return "", nil, false, ctx.Err()
 			}
 			if call.err != nil {
 				// The leader failed, possibly on its own canceled lease:
@@ -225,7 +252,7 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 			if call.path == dest {
 				// The leader filled our exact destination.
 				served.Add(1)
-				return dest, true, nil
+				return dest, nil, true, nil
 			}
 			// The leader filled another run's directory; serve ourselves
 			// from the entry it ingested (loop re-checks the cache).
@@ -235,9 +262,9 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 		c.inflight[kh] = call
 		c.mu.Unlock()
 
-		path, err := fill(ctx)
+		path, data, err := fill(ctx)
 		if err == nil {
-			c.ingest(kh, path)
+			c.ingest(kh, path, data)
 		}
 		c.mu.Lock()
 		delete(c.inflight, kh)
@@ -245,82 +272,76 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 		call.path, call.err = path, err
 		close(call.done)
 		if err != nil {
-			return "", false, err
+			return "", nil, false, err
 		}
 		c.misses.Add(1)
-		return path, false, nil
+		return path, data, false, nil
 	}
 }
 
-// materialize links or copies a verified entry to dest. An existing
-// dest file is left alone (the kernel's own stat check already accepts
-// on-disk inputs).
-func (c *DownloadCache) materialize(kh, dest string) error {
-	data := filepath.Join(c.dir, kh+".granule")
-	wantSum, err := os.ReadFile(filepath.Join(c.dir, kh+".sha256"))
+// entryPath and sumPath name an entry's payload and content-hash files.
+func (c *DownloadCache) entryPath(kh string) string { return filepath.Join(c.dir, kh+".granule") }
+func (c *DownloadCache) sumPath(kh string) string   { return filepath.Join(c.dir, kh+".sha256") }
+
+// materialize reads the entry for kh once, verifies those bytes against
+// the recorded content hash, links the entry to dest and returns the
+// bytes that passed, so the caller decodes exactly what was checked. An
+// existing dest — another hit on the same destination won the link — is
+// left alone; where the filesystem refuses a link, the verified bytes
+// are written to dest instead.
+func (c *DownloadCache) materialize(kh, dest string) ([]byte, error) {
+	wantSum, err := os.ReadFile(c.sumPath(kh))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	got, err := hashFile(data)
+	entry := c.entryPath(kh)
+	data, err := os.ReadFile(entry)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if got != string(wantSum) {
-		return fmt.Errorf("fleet: cache entry %s content hash mismatch", kh)
-	}
-	if _, err := os.Stat(dest); err == nil {
-		return nil
+	if sumHex(data) != string(wantSum) {
+		return nil, fmt.Errorf("fleet: cache entry %s content hash mismatch", kh)
 	}
 	if err := os.MkdirAll(filepath.Dir(dest), 0o755); err != nil {
-		return err
+		return nil, err
 	}
-	if err := os.Link(data, dest); err == nil {
-		return nil
+	if err := os.Link(entry, dest); err == nil || errors.Is(err, fs.ErrExist) {
+		return data, nil
 	}
-	// Cross-device or link-hostile filesystem: copy via temp+rename.
-	return copyAtomic(data, dest)
+	// Cross-device or link-hostile filesystem.
+	if err := writeAtomic(dest, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
-// ingest copies a freshly downloaded file into the cache under key kh.
-// Ingest failures are swallowed: the download itself succeeded and the
-// caller has its file; the cache just stays cold for that key.
-func (c *DownloadCache) ingest(kh, src string) {
-	info, err := os.Stat(src)
-	if err != nil {
-		return
-	}
-	if c.max > 0 && info.Size() > c.max {
+// ingest adds the file a fill just wrote at src, whose content is data,
+// to the cache under key kh. The content hash is taken over data. The
+// entry is a hard link to src, so a fetch writes its bytes to disk once;
+// where the filesystem refuses a link, data is written into the cache
+// instead. A failed ingest is swallowed, because the download itself
+// succeeded and the caller has its file — the cache just stays cold for
+// that key.
+func (c *DownloadCache) ingest(kh, src string, data []byte) {
+	size := int64(len(data))
+	if c.max > 0 && size > c.max {
 		return // larger than the whole budget; never cacheable
 	}
-	data := filepath.Join(c.dir, kh+".granule")
-	tmp := data + ".part"
-	sum, err := copyHashing(src, tmp)
-	if err != nil {
-		os.Remove(tmp)
+	if err := c.linkAtomic(src, c.entryPath(kh), data); err != nil {
 		return
 	}
-	if err := os.Rename(tmp, data); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	sumTmp := filepath.Join(c.dir, kh+".sha256.part")
-	if err := os.WriteFile(sumTmp, []byte(sum), 0o644); err != nil {
-		os.Remove(sumTmp)
-		return
-	}
-	if err := os.Rename(sumTmp, filepath.Join(c.dir, kh+".sha256")); err != nil {
-		os.Remove(sumTmp)
+	if err := writeAtomic(c.sumPath(kh), []byte(sumHex(data))); err != nil {
 		return
 	}
 	c.mu.Lock()
 	if el, ok := c.entries[kh]; ok {
 		// Re-ingest of an existing key (concurrent fill): replace size.
-		c.total += info.Size() - el.Value.(*cacheEntry).size
-		el.Value.(*cacheEntry).size = info.Size()
+		c.total += size - el.Value.(*cacheEntry).size
+		el.Value.(*cacheEntry).size = size
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[kh] = c.order.PushFront(&cacheEntry{key: kh, size: info.Size()})
-		c.total += info.Size()
+		c.entries[kh] = c.order.PushFront(&cacheEntry{key: kh, size: size})
+		c.total += size
 	}
 	c.evictOverBudgetLocked()
 	c.mu.Unlock()
@@ -357,59 +378,55 @@ func (c *DownloadCache) evictLocked(el *list.Element) {
 	delete(c.entries, ent.key)
 	c.total -= ent.size
 	c.evictions.Add(1)
-	os.Remove(filepath.Join(c.dir, ent.key+".granule"))
-	os.Remove(filepath.Join(c.dir, ent.key+".sha256"))
+	os.Remove(c.entryPath(ent.key))
+	os.Remove(c.sumPath(ent.key))
 }
 
-// hashFile returns the hex sha256 of a file's content.
-func hashFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+// sumHex returns the hex sha256 of data.
+func sumHex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
-// copyHashing copies src to dst, returning the hex sha256 of the bytes
-// written.
-func copyHashing(src, dst string) (string, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return "", err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	_, err = io.Copy(io.MultiWriter(out, h), in)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// copyAtomic copies src to dst via temp+rename.
-func copyAtomic(src, dst string) error {
-	tmp := dst + ".part"
-	if _, err := copyHashing(src, tmp); err != nil {
-		os.Remove(tmp)
-		return err
+// linkAtomic makes dst a hard link to src, replacing any file there: it
+// links under a temp name unique to this call (pid and sequence number)
+// beside dst, then renames. Where the filesystem refuses the link it
+// writes data, src's content, instead.
+func (c *DownloadCache) linkAtomic(src, dst string, data []byte) error {
+	tmp := fmt.Sprintf("%s.link.%d.%d", dst, os.Getpid(), c.linkSeq.Add(1))
+	if err := os.Link(src, tmp); err != nil {
+		return writeAtomic(dst, data)
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return nil
+}
+
+// writeAtomic writes data to dst through a temp file of its own beside
+// dst and a rename, so concurrent writers never share a temp and dst
+// never names a partial file.
+func writeAtomic(dst string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".part*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // ResultCache memoizes completed task results keyed on the task's

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,5 +362,184 @@ func TestResultCacheMemoizesAndEvicts(t *testing.T) {
 	rc.Delete("a")
 	if _, ok := rc.Get("a"); ok {
 		t.Fatal("a survived Delete")
+	}
+}
+
+// TestDownloadCacheConcurrentHitsKeepEntry: many hits materializing one
+// resident entry into one destination at once all succeed from the
+// entry. The one whose link loses to another's finds the destination
+// already there, which is success, not a reason to evict a verified
+// entry and refetch it from the archive.
+func TestDownloadCacheConcurrentHitsKeepEntry(t *testing.T) {
+	// More Ps than CPUs: the OS interleaves the racers' threads, which
+	// lines their verify-then-link steps up often enough to race.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	cache, err := NewDownloadCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	payload := strings.Repeat("granule-bytes.", 1<<14) // ~230 kB: hashing spans the race
+	var calls atomic.Int64
+	d0 := t.TempDir()
+	if _, _, err := cache.Fetch(context.Background(), key, d0, cacheFill(t, d0, key.Name, payload, &calls)); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds, racers = 60, 16
+	for r := 0; r < rounds; r++ {
+		dest := t.TempDir()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make([]error, racers)
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				var hit bool
+				if _, hit, errs[i] = cache.Fetch(context.Background(), key, dest, cacheFill(t, dest, key.Name, payload, &calls)); errs[i] == nil && !hit {
+					errs[i] = errors.New("served as a miss")
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, racer %d: %v", r, i, err)
+			}
+		}
+		if got, err := os.ReadFile(filepath.Join(dest, key.Name)); err != nil || string(got) != payload {
+			t.Fatalf("round %d: materialized %d bytes, err %v", r, len(got), err)
+		}
+	}
+	hits, misses, evictions := cache.Stats()
+	if calls.Load() != 1 || misses != 1 || evictions != 0 || hits != rounds*racers {
+		t.Fatalf("fills=%d hits=%d misses=%d evictions=%d, want 1/%d/1/0", calls.Load(), hits, misses, evictions, rounds*racers)
+	}
+}
+
+// TestDownloadCacheHitServesVerifiedBytes: a hit returns the entry's
+// bytes as read and verified, not a later read of the file — changing
+// the entry afterwards changes nothing the caller holds — and a miss
+// returns the very bytes its fill kept, without reading them back.
+func TestDownloadCacheHitServesVerifiedBytes(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewDownloadCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	kept := []byte("fetched-bytes")
+	d1 := t.TempDir()
+	_, data, hit, err := cache.FetchBytes(ctx, key, d1, func(context.Context) (string, []byte, error) {
+		path := filepath.Join(d1, key.Name)
+		return path, kept, os.WriteFile(path, kept, 0o644)
+	})
+	if err != nil || hit {
+		t.Fatalf("miss: hit=%v err=%v", hit, err)
+	}
+	if &data[0] != &kept[0] {
+		t.Fatal("the miss returned a copy of the bytes its fill kept")
+	}
+
+	d2 := t.TempDir()
+	path, data, hit, err := cache.FetchBytes(ctx, key, d2, nil)
+	if err != nil || !hit || string(data) != string(kept) {
+		t.Fatalf("hit: %q hit=%v err=%v", data, hit, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key.hash()+".granule"), []byte("rewritten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(kept) {
+		t.Fatalf("served bytes changed with the entry: %q", data)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || string(onDisk) != "rewritten" {
+		t.Fatalf("the destination is not the entry linked into place: %q, %v", onDisk, err)
+	}
+	// The rewritten entry no longer verifies: the next hit evicts it.
+	d3 := t.TempDir()
+	if _, data, hit, err := cache.FetchBytes(ctx, key, d3, func(context.Context) (string, []byte, error) {
+		path := filepath.Join(d3, key.Name)
+		return path, []byte("refetched"), os.WriteFile(path, []byte("refetched"), 0o644)
+	}); err != nil || hit || string(data) != "refetched" {
+		t.Fatalf("rewritten entry: %q hit=%v err=%v", data, hit, err)
+	}
+	if _, _, evictions := cache.Stats(); evictions != 1 {
+		t.Fatalf("evictions=%d, want 1", evictions)
+	}
+}
+
+// TestDownloadCacheMissLinksFetchedFile: a miss makes the fetched file
+// itself the cache entry (one write per fetched byte, not a copy), and
+// two hits into one directory share it too.
+func TestDownloadCacheMissLinksFetchedFile(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewDownloadCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	var calls atomic.Int64
+	d1 := t.TempDir()
+	path, _, err := cache.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, "payload", &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFile(t, path, filepath.Join(dir, key.hash()+".granule"))
+	d2 := t.TempDir()
+	hitPath, _, err := cache.Fetch(context.Background(), key, d2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFile(t, hitPath, path)
+}
+
+// sameFile fails unless a and b name one file.
+func sameFile(t *testing.T, a, b string) {
+	t.Helper()
+	ai, err := os.Stat(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, err := os.Stat(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(ai, bi) {
+		t.Fatalf("%s and %s are two files", a, b)
+	}
+}
+
+// TestWriteAtomicConcurrentWriters: writers racing to one destination
+// each stage under a temp of their own, so every one succeeds, the
+// destination holds one writer's whole content, and no temp is left.
+func TestWriteAtomicConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "g.hdf")
+	const writers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = writeAtomic(dst, []byte(strings.Repeat(fmt.Sprint(i), 1<<16)))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	got, err := os.ReadFile(dst)
+	if err != nil || len(got) != 1<<16 || strings.Count(string(got), string(got[:1])) != len(got) {
+		t.Fatalf("destination holds %d mixed or partial bytes (err %v)", len(got), err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("%d files left in the directory, want only the destination", len(ents))
 	}
 }

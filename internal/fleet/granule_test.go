@@ -838,3 +838,114 @@ func TestFleetRunStreamMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// cachedGranuleKernel returns the granule function of a fresh kernel set
+// with a download cache in cacheDir, and the registry its cache series
+// are on.
+func cachedGranuleKernel(t *testing.T, cacheDir string) (compute.Function, *metrics.Registry) {
+	t.Helper()
+	k, err := fleet.NewKernelsWith(fleet.KernelConfig{CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := compute.NewRegistry()
+	if err := k.Register(reg, make(chan struct{}, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	mreg := metrics.NewRegistry()
+	k.Instrument(mreg)
+	return lookup(t, reg, fleet.GranuleFunction), mreg
+}
+
+// cacheSeries reads one eoml_fleet_cache_* series of the download cache.
+func cacheSeries(t *testing.T, reg *metrics.Registry, name string) float64 {
+	t.Helper()
+	for _, f := range reg.Snapshot() {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if len(s.Labels) == 1 && s.Labels[0].Value == "download" {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("series %s{cache=\"download\"} not found", name)
+	return 0
+}
+
+// TestGranuleColdFetchWritesOnce: a cold granule task's fetched inputs
+// are each one file on disk — the DataDir file the download wrote is
+// the cache entry, linked, not a second copy.
+func TestGranuleColdFetchWritesOnce(t *testing.T) {
+	archive := newArchive(t)
+	idx := productiveGranules(t, 1, 2)[0]
+	model, codebook := trainAndSave(t, idx)
+	cacheDir := t.TempDir()
+	fn, _ := cachedGranuleKernel(t, cacheDir)
+	args := granuleTask(t, archive.URL, idx, model, codebook, "")
+	if res := runGranule(t, fn, args); res.FetchedFiles != 3 || res.File == "" {
+		t.Fatalf("cold task: %+v", res)
+	}
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.granule"))
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("cache holds %d entries (%v), want 3", len(entries), err)
+	}
+	inputs, err := os.ReadDir(args.DataDir)
+	if err != nil || len(inputs) != 3 {
+		t.Fatalf("DataDir holds %d files (%v), want the triple", len(inputs), err)
+	}
+	for _, in := range inputs {
+		info, err := os.Stat(filepath.Join(args.DataDir, in.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		linked := false
+		for _, e := range entries {
+			if ei, err := os.Stat(e); err == nil && os.SameFile(info, ei) {
+				linked = true
+			}
+		}
+		if !linked {
+			t.Fatalf("%s is not its cache entry: the fetch was written twice", in.Name())
+		}
+	}
+}
+
+// TestGranuleRefetchesCorruptedEntry: a cache entry corrupted behind the
+// cache's back fails its hit verification in the next run's task, which
+// evicts it, fetches that product again, and publishes the same labeled
+// file as the first run.
+func TestGranuleRefetchesCorruptedEntry(t *testing.T) {
+	archive := newArchive(t)
+	idx := productiveGranules(t, 1, 2)[0]
+	model, codebook := trainAndSave(t, idx)
+	cacheDir := t.TempDir()
+	fn, reg := cachedGranuleKernel(t, cacheDir)
+	first := granuleTask(t, archive.URL, idx, model, codebook, "")
+	runGranule(t, fn, first)
+	want := dirFiles(t, first.OutboxDir)
+
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.granule"))
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("cache holds %d entries (%v), want 3", len(entries), err)
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(entries[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := granuleTask(t, archive.URL, idx, model, codebook, "")
+	res := runGranule(t, fn, second)
+	if res.FetchedFiles != 1 || res.File == "" {
+		t.Fatalf("after corruption: fetched %d files, published %q; want 1 refetch and a file", res.FetchedFiles, res.File)
+	}
+	sameFiles(t, "outbox after refetch", dirFiles(t, second.OutboxDir), want)
+	if ev, hits := cacheSeries(t, reg, "eoml_fleet_cache_evictions_total"), cacheSeries(t, reg, "eoml_fleet_cache_hits_total"); ev != 1 || hits != 2 {
+		t.Fatalf("evictions=%v hits=%v, want 1 and 2", ev, hits)
+	}
+}

@@ -339,55 +339,63 @@ func (k *Kernels) clientFor(url, token string) *laads.Client {
 	return c
 }
 
+// granuleKinds are a granule's three products, in the order tile.Extract
+// takes them.
+var granuleKinds = [3]modis.Kind{modis.L1B, modis.Geo, modis.Cloud}
+
 // fetchGranuleInputs fetches the granule's product files missing from
 // dataDir, all three concurrently — against a latency-shaped archive
 // the triple costs one round-trip instead of three — and returns how
-// many files and bytes it fetched from the archive itself. Each fetch
-// goes through the download cache (when enabled), so re-leases and
-// restarted runs hit disk. A nil client means this kernel set's own for
-// the credential. No archive URL means shared storage; missing files
-// surface later as read errors.
-func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, error) {
+// many files and bytes it fetched from the archive itself, plus the
+// content of each input it fetched or the download cache served, for
+// the kernel to decode without reading the file back. An input it
+// returns no content for (already in dataDir, or filled by a concurrent
+// fetch this one waited on) is on disk. Each fetch goes through the
+// download cache (when enabled), so re-leases and restarted runs hit
+// disk. A nil client means this kernel set's own for the credential. No
+// archive URL means shared storage; missing files surface later as read
+// errors.
+func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, [3][]byte, error) {
+	var inputs [3][]byte
 	if url == "" {
-		return 0, 0, nil
+		return 0, 0, inputs, nil
 	}
 	if client == nil {
 		client = k.clientFor(url, token)
 	}
-	kinds := []modis.Kind{modis.L1B, modis.Geo, modis.Cloud}
 	var (
 		wg   sync.WaitGroup
-		errs = make([]error, len(kinds))
+		errs = make([]error, len(granuleKinds))
 		// fetched holds the archive downloads this call made; fill runs
 		// on its product's goroutine or not at all.
-		fetched = make([]laads.FileResult, len(kinds))
+		fetched = make([]laads.FileResult, len(granuleKinds))
 	)
-	for i, kind := range kinds {
+	for i, kind := range granuleKinds {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
 		name := modis.FileName(prod, g)
 		if _, err := os.Stat(filepath.Join(dataDir, name)); err == nil {
 			continue
 		}
 		if err := os.MkdirAll(dataDir, 0o755); err != nil {
-			return 0, 0, err
+			return 0, 0, inputs, err
 		}
 		wg.Add(1)
 		go func(i int, prod modis.Product, name string) {
 			defer wg.Done()
-			fill := func(ctx context.Context) (string, error) {
-				res, err := client.Download(ctx, prod, g.Year, g.DOY, name, dataDir)
+			fill := func(ctx context.Context) (string, []byte, error) {
+				res, err := client.DownloadKeep(ctx, prod, g.Year, g.DOY, name, dataDir)
 				if err != nil {
-					return "", fmt.Errorf("fetch %s: %w", name, err)
+					return "", nil, fmt.Errorf("fetch %s: %w", name, err)
 				}
 				fetched[i] = res
-				return res.Path, nil
+				return res.Path, res.Data, nil
 			}
 			if k.downloads == nil {
-				errs[i] = k.fetchDirect(ctx, filepath.Join(dataDir, name), fill)
+				inputs[i], errs[i] = k.fetchDirect(ctx, filepath.Join(dataDir, name), fill)
 				return
 			}
 			key := CacheKey{ArchiveURL: url, Token: token, Name: name}
-			_, _, errs[i] = k.downloads.Fetch(ctx, key, dataDir, fill)
+			_, inputs[i], _, errs[i] = k.downloads.FetchBytes(ctx, key, dataDir, fill)
 		}(i, prod, name)
 	}
 	wg.Wait()
@@ -398,18 +406,19 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, 
 			bytes += res.Bytes
 		}
 	}
-	return files, bytes, errors.Join(errs...)
+	return files, bytes, inputs, errors.Join(errs...)
 }
 
 // fetchDirect runs fill for dest, coalescing concurrent callers: the
-// first becomes the leader, the rest wait and succeed when it does. A
+// first becomes the leader and gets the bytes its fill kept, the rest
+// wait and succeed (with no bytes; the file is on disk) when it does. A
 // waiter whose leader failed (possibly on the leader's own canceled
 // context) loops and retries as leader, so a lease never fails a fetch
 // just because a duplicate lease's attempt died.
-func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, error)) error {
+func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, []byte, error)) ([]byte, error) {
 	for {
 		if _, err := os.Stat(dest); err == nil {
-			return nil
+			return nil, nil
 		}
 		k.mu.Lock()
 		if call, ok := k.fetches[dest]; ok {
@@ -417,22 +426,23 @@ func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(contex
 			select {
 			case <-call.done:
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			if call.err == nil {
-				return nil
+				return nil, nil
 			}
 			continue
 		}
 		call := &fetchCall{done: make(chan struct{})}
 		k.fetches[dest] = call
 		k.mu.Unlock()
-		_, call.err = fill(ctx)
+		var data []byte
+		_, data, call.err = fill(ctx)
 		k.mu.Lock()
 		delete(k.fetches, dest)
 		k.mu.Unlock()
 		close(call.done)
-		return call.err
+		return data, call.err
 	}
 }
 
@@ -459,7 +469,9 @@ func parseGranuleRef(args map[string]any) (GranuleArgs, modis.GranuleID, error) 
 // granule is the fused kernel: fetch the granule's triple (inputs
 // absent from DataDir come from the archive when credentials are
 // supplied, so a worker at another facility only needs the reference),
-// decode, extract tiles, label them in memory with the cached labeler,
+// decode — the bytes the fetch wrote or the cache verified, so a
+// fetched input is never read back; only inputs already on disk are
+// read — extract tiles, label them in memory with the cached labeler,
 // and write the labeled NetCDF once, straight into OutboxDir. The run
 // that submitted the task owns OutboxDir; the kernel never creates it,
 // so a duplicate outliving the run fails instead of resurrecting it.
@@ -501,7 +513,8 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	}
 	clock := phaseClock{mark: out.Started}
 	k.fetching.Add(1)
-	out.FetchedFiles, out.FetchedBytes, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
+	var inputs [3][]byte
+	out.FetchedFiles, out.FetchedBytes, inputs, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
 	k.fetching.Add(-1)
 	if err != nil {
 		return nil, err
@@ -512,9 +525,14 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	}
 	defer func() { <-gate }()
 	var files [3]*hdf.File
-	for i, kind := range []modis.Kind{modis.L1B, modis.Geo, modis.Cloud} {
-		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
-		if files[i], err = hdf.ReadFile(filepath.Join(a.DataDir, modis.FileName(prod, g))); err != nil {
+	for i, kind := range granuleKinds {
+		path := filepath.Join(a.DataDir, modis.FileName(modis.Product{Satellite: g.Satellite, Kind: kind}, g))
+		if inputs[i] == nil {
+			files[i], err = hdf.ReadFile(path)
+		} else if files[i], err = hdf.Decode(inputs[i]); err != nil {
+			err = fmt.Errorf("%s: %w", path, err)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -429,7 +429,11 @@ func Read(r io.Reader) (*File, error) {
 	return Decode(data)
 }
 
-// Decode decodes an HDF-lite byte slice, verifying magic and CRC.
+// Decode decodes an HDF-lite byte slice, verifying magic and CRC. The
+// decoded datasets alias data instead of copying it: each one's backing
+// bytes are a capacity-clipped subslice of its own region, so growing
+// one never writes into the next, but the caller hands data over and
+// must not change it while the file is in use.
 func Decode(data []byte) (*File, error) {
 	if len(data) < len(Magic)+4 {
 		return nil, fmt.Errorf("hdf: truncated stream (%d bytes)", len(data))
@@ -524,7 +528,7 @@ func Decode(data []byte) (*File, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds := &Dataset{Name: name, DType: dtype, Dims: dims, raw: append([]byte(nil), raw...)}
+		ds := &Dataset{Name: name, DType: dtype, Dims: dims, raw: raw[:len(raw):len(raw)]}
 		if err := f.Add(ds); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package laads
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -140,6 +141,9 @@ type FileResult struct {
 	Bytes    int64
 	Duration time.Duration
 	Attempts int
+	// Data is the file's content as written to Path, kept only by
+	// DownloadKeep; nil otherwise.
+	Data []byte
 }
 
 // Download fetches one granule into destDir, retrying on failure. The
@@ -147,6 +151,17 @@ type FileResult struct {
 // never sees a partial granule — the HDF-read-error hazard the paper
 // works around by delaying preprocessing until downloads complete.
 func (c *Client) Download(ctx context.Context, p modis.Product, year, doy int, name, destDir string) (FileResult, error) {
+	return c.download(ctx, p, year, doy, name, destDir, false)
+}
+
+// DownloadKeep is Download for a caller that decodes the file next: the
+// result's Data holds the bytes the body streamed to disk, so the caller
+// never reads the file back.
+func (c *Client) DownloadKeep(ctx context.Context, p modis.Product, year, doy int, name, destDir string) (FileResult, error) {
+	return c.download(ctx, p, year, doy, name, destDir, true)
+}
+
+func (c *Client) download(ctx context.Context, p modis.Product, year, doy int, name, destDir string, keep bool) (FileResult, error) {
 	url := fmt.Sprintf("%s/archive/%s/%d/%d/%s", c.BaseURL, p.ShortName(), year, doy, name)
 	res := FileResult{Name: name}
 	start := time.Now()
@@ -162,10 +177,11 @@ func (c *Client) Download(ctx context.Context, p modis.Product, year, doy int, n
 			case <-time.After(delay):
 			}
 		}
-		n, path, err := c.fetchOnce(ctx, url, name, destDir)
+		n, path, data, err := c.fetchOnce(ctx, url, name, destDir, keep)
 		if err == nil {
 			res.Bytes = n
 			res.Path = path
+			res.Data = data
 			res.Duration = time.Since(start)
 			c.m.downloaded(n)
 			return res, nil
@@ -179,27 +195,33 @@ func (c *Client) Download(ctx context.Context, p modis.Product, year, doy int, n
 	return res, fmt.Errorf("laads: download %s failed after %d attempts: %w", name, c.Retries+1, lastErr)
 }
 
-func (c *Client) fetchOnce(ctx context.Context, url, name, destDir string) (int64, string, error) {
+// maxKeptPrealloc bounds the buffer a kept body preallocates from the
+// response's Content-Length to a few times the largest product (about
+// 3 MB), so a lying header cannot reserve much heap; a larger body still
+// arrives, growing the buffer as it does.
+const maxKeptPrealloc = 64 << 20
+
+func (c *Client) fetchOnce(ctx context.Context, url, name, destDir string, keep bool) (int64, string, []byte, error) {
 	if err := c.Quota.Acquire(ctx); err != nil {
-		return 0, "", err
+		return 0, "", nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, "", err
+		return 0, "", nil, err
 	}
 	c.auth(req)
 	c.m.request()
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return 0, "", err
+		return 0, "", nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return 0, "", fmt.Errorf("laads: GET %s: %s", url, resp.Status)
+		return 0, "", nil, fmt.Errorf("laads: GET %s: %s", url, resp.Status)
 	}
 	if err := os.MkdirAll(destDir, 0o755); err != nil {
-		return 0, "", err
+		return 0, "", nil, err
 	}
 	final := filepath.Join(destDir, name)
 	// The temp name carries the pid: fleet workers share run
@@ -209,21 +231,30 @@ func (c *Client) fetchOnce(ctx context.Context, url, name, destDir string) (int6
 	tmp := fmt.Sprintf("%s.part.%d", final, os.Getpid())
 	out, err := os.Create(tmp)
 	if err != nil {
-		return 0, "", err
+		return 0, "", nil, err
 	}
-	n, err := io.Copy(out, resp.Body)
+	var body io.Reader = resp.Body
+	var kept *bytes.Buffer
+	if keep {
+		kept = bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxKeptPrealloc)))
+		body = io.TeeReader(resp.Body, kept)
+	}
+	n, err := io.Copy(out, body)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, "", err
+		return 0, "", nil, err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return 0, "", err
+		return 0, "", nil, err
 	}
-	return n, final, nil
+	if kept == nil {
+		return n, final, nil, nil
+	}
+	return n, final, kept.Bytes(), nil
 }
 
 // Task names one granule of one product to download.
@@ -254,7 +285,7 @@ func (r Report) MeanSpeedBytesPerSec() float64 {
 // DownloadAll fetches tasks with the given number of parallel workers,
 // mirroring the paper's Globus Compute fan-out: each worker takes the next
 // queued file when it finishes its current one, and exits when the queue
-// drains.
+// drains. It keeps no file's bytes in memory.
 func (c *Client) DownloadAll(ctx context.Context, tasks []Task, destDir string, workers int) (Report, error) {
 	if workers <= 0 {
 		workers = 1

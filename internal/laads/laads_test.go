@@ -70,6 +70,31 @@ func TestDownloadProducesValidGranule(t *testing.T) {
 	}
 }
 
+// TestDownloadKeepReturnsWrittenBytes: DownloadKeep hands back exactly
+// the bytes it wrote to the file; Download keeps none.
+func TestDownloadKeepReturnsWrittenBytes(t *testing.T) {
+	_, ts := newTestServer(t, ServerConfig{})
+	c := NewClient(ts.URL, "")
+	g := modis.GranuleID{Satellite: modis.Terra, Year: 2022, DOY: 1, Index: 0}
+	name := modis.FileName(modis.MOD021KM, g)
+	ctx := context.Background()
+	kept, err := c.DownloadKeep(ctx, modis.MOD021KM, 2022, 1, name, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(kept.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.Bytes != int64(len(onDisk)) || string(kept.Data) != string(onDisk) {
+		t.Fatalf("kept %d bytes, file has %d (reported %d); equal: %v", len(kept.Data), len(onDisk), kept.Bytes, string(kept.Data) == string(onDisk))
+	}
+	plain, err := c.Download(ctx, modis.MOD021KM, 2022, 1, name, t.TempDir())
+	if err != nil || plain.Data != nil {
+		t.Fatalf("Download kept %d bytes, err %v", len(plain.Data), err)
+	}
+}
+
 func TestAuthRequired(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{Token: "secret"})
 	bad := NewClient(ts.URL, "wrong")

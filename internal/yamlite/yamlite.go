@@ -544,8 +544,11 @@ func isNested(v any) bool {
 	return false
 }
 
+// quoteKeyIfNeeded quotes a key that would not read back as itself:
+// one with syntax characters or outer spaces, or one starting "- ",
+// which the parser takes for a sequence entry.
 func quoteKeyIfNeeded(k string) string {
-	if k == "" || strings.ContainsAny(k, ":#\"'\n\t[]{},") || k != strings.TrimSpace(k) {
+	if k == "" || strings.ContainsAny(k, ":#\"'\n\t[]{},") || k != strings.TrimSpace(k) || strings.HasPrefix(k, "- ") {
 		return strconv.Quote(k)
 	}
 	return k
