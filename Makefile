@@ -134,12 +134,15 @@ bench-granule-test:
 # ahead of their compute slot from a shaped archive, and one second of
 # campaign_fleet_warm does it through the same workers over HTTP and
 # fails on any archive request from warm caches; the numbers they print
-# are too short to mean anything.
+# are too short to mean anything. The last run repeats the warm fleet
+# with tracing on, so the traced pass's layer probes (the download-cache
+# probe among them) fail here, not only in a full-length run.
 bench-granule-smoke:
 	bash benchmarks/run.sh --workload campaign_local --seconds 1
 	bash benchmarks/run.sh --workload stream_local --seconds 1
 	bash benchmarks/run.sh --workload campaign_fleet_cold --seconds 1
 	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1
+	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1 --trace 1
 
 # Every figure/table/ablation benchmark in the repo.
 bench-all:

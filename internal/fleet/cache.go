@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"github.com/eoml/eoml/internal/hdf"
 )
 
 // DownloadCache is a worker-local, content-addressed on-disk cache of
@@ -23,14 +25,17 @@ import (
 // Keying: an entry is addressed by sha256 over (archive URL, sha256 of
 // the archive token, file name) — the token participates hashed so two
 // tenants with different credentials never share entries and the
-// credential itself never appears on disk. Each entry is a pair of
-// files under the cache directory, `<key>.granule` (the payload: a hard
-// link to the file the fetch wrote, placed by rename so a crash never
-// leaves a partial entry) and `<key>.sha256` (the payload's content
-// hash, taken over the bytes the fetch wrote). Every hit reads the whole
-// entry once and verifies those bytes against the hash before serving
-// them; a corrupted or truncated entry is evicted and the fetch falls
-// through to the archive.
+// credential itself never appears on disk. Each entry is one file under
+// the cache directory, `<key>.granule`: a hard link to the file the
+// fetch wrote, placed by rename so a crash never leaves a partial entry.
+//
+// Integrity: every entry is an HDF-lite file, whose trailer CRC covers
+// every byte. A miss decodes the fetched bytes before they become an
+// entry, and every hit reads the whole entry once and decodes that
+// buffer before linking it anywhere, so a torn, truncated or bit-rotted
+// entry is evicted and the fetch falls through to the archive. The
+// check guards against corruption only: anyone who can rewrite an entry
+// can also forge its CRC.
 //
 // Size is bounded by LRU eviction, and concurrent fetches of one key
 // coalesce: the first caller downloads, the rest wait and read the
@@ -97,9 +102,10 @@ func (k CacheKey) hash() string {
 }
 
 // NewDownloadCache opens (or creates) a cache directory and rebuilds
-// the LRU index from entries already on disk, oldest first by mtime, so
-// a restarted worker keeps its warm set. maxBytes <= 0 disables the
-// size bound.
+// the LRU index from the `<key>.granule` entries already on disk, oldest
+// first by mtime, so a restarted worker keeps its warm set; an entry is
+// checked when it is next hit, not here. maxBytes <= 0 disables the size
+// bound.
 func NewDownloadCache(dir string, maxBytes int64) (*DownloadCache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("fleet: download cache needs a directory")
@@ -126,18 +132,18 @@ func NewDownloadCache(dir string, maxBytes int64) (*DownloadCache, error) {
 	var found []onDisk
 	for _, e := range ents {
 		name := e.Name()
-		if filepath.Ext(name) != ".granule" {
+		ext := filepath.Ext(name)
+		if ext == ".sha256" {
+			// A content-hash sidecar from a version that kept one; the
+			// entry's own CRC is its check now.
+			os.Remove(filepath.Join(dir, name))
+		}
+		if ext != ".granule" {
 			continue
 		}
 		key := name[:len(name)-len(".granule")]
 		info, err := e.Info()
 		if err != nil {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, key+".sha256")); err != nil {
-			// Orphan payload (crash between data rename and sum write):
-			// useless without its hash, remove it.
-			os.Remove(filepath.Join(dir, name))
 			continue
 		}
 		found = append(found, onDisk{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
@@ -191,10 +197,10 @@ func (c *DownloadCache) SizeBytes() int64 {
 // onto another lease's download is counted in Coalesced instead, so the
 // hit ratio of a cold cache reads 0.
 //
-// Fetch is FetchBytes with the content dropped: its miss reads the
-// filled file once for the hash.
+// Fetch is FetchFile with the decoded file dropped: its miss reads the
+// filled file once for the decode, so the file must be HDF-lite.
 func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, error)) (string, bool, error) {
-	path, _, hit, err := c.FetchBytes(ctx, key, destDir, func(ctx context.Context) (string, []byte, error) {
+	path, _, hit, err := c.FetchFile(ctx, key, destDir, func(ctx context.Context) (string, []byte, error) {
 		p, err := fill(ctx)
 		if err != nil {
 			return "", nil, err
@@ -205,14 +211,18 @@ func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string,
 	return path, hit, err
 }
 
-// FetchBytes is Fetch for a caller that decodes the file next, and
-// returns the file's content with it. Its fill returns the bytes it
-// wrote to the path along with the path. On a miss the call hashes
-// those bytes for the cache and returns them; on a hit it reads the
-// entry once and returns the very bytes that passed verification. The
-// returned data is nil when the call waited on another caller's fill of
-// the same destination; the file is then on disk at the returned path.
-func (c *DownloadCache) FetchBytes(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, []byte, error)) (string, []byte, bool, error) {
+// FetchFile is Fetch for a caller that reads the file next, and returns
+// it decoded. Its fill returns the bytes it wrote to the path along with
+// the path. The decode is the cache's integrity check: its CRC covers
+// every byte. On a miss the call decodes the fill's bytes before it
+// ingests them; bytes that fail are neither cached nor left at the path,
+// where the next fetch would take them for the file, and the call fails.
+// On a hit it reads the entry once and decodes that buffer before it
+// links the entry into destDir, so the file returned is decoded from the
+// very bytes that passed; an entry that fails is evicted and refetched.
+// The returned file is nil when the call waited on another caller's fill
+// of the same destination; the file is then on disk at the returned path.
+func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, []byte, error)) (string, *hdf.File, bool, error) {
 	kh := key.hash()
 	dest := filepath.Join(destDir, key.Name)
 	served := &c.hits // becomes &c.coalesced once this call has waited on a fill
@@ -222,9 +232,9 @@ func (c *DownloadCache) FetchBytes(ctx context.Context, key CacheKey, destDir st
 		if el, ok := c.entries[kh]; ok {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
-			if data, err := c.materialize(kh, dest); err == nil {
+			if f, err := c.materialize(kh, dest); err == nil {
 				served.Add(1)
-				return dest, data, true, nil
+				return dest, f, true, nil
 			}
 			// Corrupted, truncated, or vanished entry: evict and fall
 			// through to a real fetch.
@@ -263,8 +273,12 @@ func (c *DownloadCache) FetchBytes(ctx context.Context, key CacheKey, destDir st
 		c.mu.Unlock()
 
 		path, data, err := fill(ctx)
+		var f *hdf.File
 		if err == nil {
-			c.ingest(kh, path, data)
+			// Before the waiters wake, so none finds bytes that failed.
+			if f, err = decodeFetched(path, data); err == nil {
+				c.ingest(kh, path, data)
+			}
 		}
 		c.mu.Lock()
 		delete(c.inflight, kh)
@@ -275,62 +289,66 @@ func (c *DownloadCache) FetchBytes(ctx context.Context, key CacheKey, destDir st
 			return "", nil, false, err
 		}
 		c.misses.Add(1)
-		return path, data, false, nil
+		return path, f, false, nil
 	}
 }
 
-// entryPath and sumPath name an entry's payload and content-hash files.
-func (c *DownloadCache) entryPath(kh string) string { return filepath.Join(c.dir, kh+".granule") }
-func (c *DownloadCache) sumPath(kh string) string   { return filepath.Join(c.dir, kh+".sha256") }
-
-// materialize reads the entry for kh once, verifies those bytes against
-// the recorded content hash, links the entry to dest and returns the
-// bytes that passed, so the caller decodes exactly what was checked. An
-// existing dest — another hit on the same destination won the link — is
-// left alone; where the filesystem refuses a link, the verified bytes
-// are written to dest instead.
-func (c *DownloadCache) materialize(kh, dest string) ([]byte, error) {
-	wantSum, err := os.ReadFile(c.sumPath(kh))
+// decodeFetched decodes data, the bytes a fetch just wrote to path.
+// Bytes that fail — a torn or corrupted transfer — are removed from
+// path, so no later fetch takes them for the file.
+func decodeFetched(path string, data []byte) (*hdf.File, error) {
+	f, err := hdf.Decode(data)
 	if err != nil {
-		return nil, err
+		os.Remove(path)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return f, nil
+}
+
+// entryPath names an entry's file.
+func (c *DownloadCache) entryPath(kh string) string { return filepath.Join(c.dir, kh+".granule") }
+
+// materialize reads the entry for kh once, decodes those bytes — which
+// checks their CRC — links the entry to dest and returns the decoded
+// file, so the caller reads exactly what was checked. An existing dest —
+// another hit on the same destination won the link — is left alone;
+// where the filesystem refuses a link, the checked bytes are written to
+// dest instead.
+func (c *DownloadCache) materialize(kh, dest string) (*hdf.File, error) {
 	entry := c.entryPath(kh)
 	data, err := os.ReadFile(entry)
 	if err != nil {
 		return nil, err
 	}
-	if sumHex(data) != string(wantSum) {
-		return nil, fmt.Errorf("fleet: cache entry %s content hash mismatch", kh)
+	f, err := hdf.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: cache entry %s: %w", kh, err)
 	}
 	if err := os.MkdirAll(filepath.Dir(dest), 0o755); err != nil {
 		return nil, err
 	}
 	if err := os.Link(entry, dest); err == nil || errors.Is(err, fs.ErrExist) {
-		return data, nil
+		return f, nil
 	}
 	// Cross-device or link-hostile filesystem.
 	if err := writeAtomic(dest, data); err != nil {
 		return nil, err
 	}
-	return data, nil
+	return f, nil
 }
 
-// ingest adds the file a fill just wrote at src, whose content is data,
-// to the cache under key kh. The content hash is taken over data. The
-// entry is a hard link to src, so a fetch writes its bytes to disk once;
-// where the filesystem refuses a link, data is written into the cache
-// instead. A failed ingest is swallowed, because the download itself
-// succeeded and the caller has its file — the cache just stays cold for
-// that key.
+// ingest adds the file a fill just wrote at src, whose content is data
+// and already decoded, to the cache under key kh. The entry is a hard
+// link to src, so a fetch writes its bytes to disk once; where the
+// filesystem refuses a link, data is written into the cache instead. A
+// failed ingest is swallowed, because the download itself succeeded and
+// the caller has its file — the cache just stays cold for that key.
 func (c *DownloadCache) ingest(kh, src string, data []byte) {
 	size := int64(len(data))
 	if c.max > 0 && size > c.max {
 		return // larger than the whole budget; never cacheable
 	}
 	if err := c.linkAtomic(src, c.entryPath(kh), data); err != nil {
-		return
-	}
-	if err := writeAtomic(c.sumPath(kh), []byte(sumHex(data))); err != nil {
 		return
 	}
 	c.mu.Lock()
@@ -347,7 +365,7 @@ func (c *DownloadCache) ingest(kh, src string, data []byte) {
 	c.mu.Unlock()
 }
 
-// remove evicts one entry (bad hash, vanished file).
+// remove evicts one entry (failed decode, vanished file).
 func (c *DownloadCache) remove(kh string) {
 	c.mu.Lock()
 	if el, ok := c.entries[kh]; ok {
@@ -371,7 +389,7 @@ func (c *DownloadCache) evictOverBudgetLocked() {
 	}
 }
 
-// evictLocked removes one LRU element and its files. Caller holds mu.
+// evictLocked removes one LRU element and its file. Caller holds mu.
 func (c *DownloadCache) evictLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.order.Remove(el)
@@ -379,13 +397,6 @@ func (c *DownloadCache) evictLocked(el *list.Element) {
 	c.total -= ent.size
 	c.evictions.Add(1)
 	os.Remove(c.entryPath(ent.key))
-	os.Remove(c.sumPath(ent.key))
-}
-
-// sumHex returns the hex sha256 of data.
-func sumHex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // linkAtomic makes dst a hard link to src, replacing any file there: it

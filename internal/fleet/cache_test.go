@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +15,43 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/eoml/eoml/internal/hdf"
 )
+
+// hdfPayload returns a small valid HDF-lite file holding content as its
+// one uint8 dataset, "v": every cache entry must decode, and its CRC is
+// what catches a corrupted one. Equal-length contents encode to
+// equal-length files.
+func hdfPayload(t *testing.T, content string) string {
+	t.Helper()
+	f := hdf.NewFile()
+	ds, err := hdf.NewUint8("v", []int{len(content)}, []byte(content))
+	if err == nil {
+		err = f.Add(ds)
+	}
+	var buf bytes.Buffer
+	if err == nil {
+		err = hdf.Write(&buf, f)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// payloadOf returns the content hdfPayload encoded into f.
+func payloadOf(t *testing.T, f *hdf.File) []byte {
+	t.Helper()
+	if f == nil {
+		t.Fatal("no decoded file")
+	}
+	ds, err := f.Dataset("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Raw()
+}
 
 // cacheFill returns a fill func that writes content at destDir/name and
 // counts invocations.
@@ -35,9 +74,10 @@ func TestDownloadCacheHitSkipsFill(t *testing.T) {
 	}
 	key := CacheKey{ArchiveURL: "http://archive", Token: "tok", Name: "g1.hdf"}
 	var calls atomic.Int64
+	payload := hdfPayload(t, "payload-1")
 
 	dir1 := t.TempDir()
-	path, hit, err := cache.Fetch(context.Background(), key, dir1, cacheFill(t, dir1, key.Name, "payload-1", &calls))
+	path, hit, err := cache.Fetch(context.Background(), key, dir1, cacheFill(t, dir1, key.Name, payload, &calls))
 	if err != nil || hit {
 		t.Fatalf("first fetch: path=%q hit=%v err=%v", path, hit, err)
 	}
@@ -51,7 +91,7 @@ func TestDownloadCacheHitSkipsFill(t *testing.T) {
 		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
 	}
 	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "payload-1" {
+	if err != nil || string(got) != payload {
 		t.Fatalf("materialized content %q err=%v", got, err)
 	}
 	if calls.Load() != 1 {
@@ -72,7 +112,7 @@ func TestDownloadCacheKeysSeparateTokens(t *testing.T) {
 	for i, tok := range []string{"alice", "bob"} {
 		dir := t.TempDir()
 		key := CacheKey{ArchiveURL: "http://archive", Token: tok, Name: "g.hdf"}
-		_, hit, err := cache.Fetch(context.Background(), key, dir, cacheFill(t, dir, key.Name, fmt.Sprintf("tenant-%d", i), &calls))
+		_, hit, err := cache.Fetch(context.Background(), key, dir, cacheFill(t, dir, key.Name, hdfPayload(t, fmt.Sprintf("tenant-%d", i)), &calls))
 		if err != nil || hit {
 			t.Fatalf("tenant %d: hit=%v err=%v", i, hit, err)
 		}
@@ -83,9 +123,11 @@ func TestDownloadCacheKeysSeparateTokens(t *testing.T) {
 }
 
 func TestDownloadCacheLRUEviction(t *testing.T) {
-	// Budget fits two 8-byte payloads; inserting a third evicts the
+	// Budget fits two payloads of one size; inserting a third evicts the
 	// least recently used.
-	cache, err := NewDownloadCache(t.TempDir(), 16)
+	a, b, c := hdfPayload(t, "aaaaaaaa"), hdfPayload(t, "bbbbbbbb"), hdfPayload(t, "cccccccc")
+	budget := 2 * int64(len(a))
+	cache, err := NewDownloadCache(t.TempDir(), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +140,17 @@ func TestDownloadCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fetch("a", "aaaaaaaa")
-	fetch("b", "bbbbbbbb")
+	fetch("a", a)
+	fetch("b", b)
 	// Touch a so b becomes LRU.
 	dir := t.TempDir()
 	if _, hit, err := cache.Fetch(ctx, CacheKey{ArchiveURL: "u", Token: "t", Name: "a"}, dir, nil); err != nil || !hit {
 		t.Fatalf("touch a: hit=%v err=%v", hit, err)
 	}
-	fetch("c", "cccccccc")
+	fetch("c", c)
 
-	if got := cache.SizeBytes(); got != 16 {
-		t.Fatalf("cache size %d, want 16", got)
+	if got := cache.SizeBytes(); got != budget {
+		t.Fatalf("cache size %d, want %d", got, budget)
 	}
 	_, _, evictions := cache.Stats()
 	if evictions != 1 {
@@ -117,7 +159,7 @@ func TestDownloadCacheLRUEviction(t *testing.T) {
 	// b must refetch; a must still hit.
 	var calls atomic.Int64
 	dirB := t.TempDir()
-	if _, hit, err := cache.Fetch(ctx, CacheKey{ArchiveURL: "u", Token: "t", Name: "b"}, dirB, cacheFill(t, dirB, "b", "bbbbbbbb", &calls)); err != nil || hit {
+	if _, hit, err := cache.Fetch(ctx, CacheKey{ArchiveURL: "u", Token: "t", Name: "b"}, dirB, cacheFill(t, dirB, "b", b, &calls)); err != nil || hit {
 		t.Fatalf("refetch b: hit=%v err=%v", hit, err)
 	}
 	if calls.Load() != 1 {
@@ -125,46 +167,88 @@ func TestDownloadCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestDownloadCacheCorruptionEvictsAndRefetches: one flipped byte
+// anywhere in an entry — its header, a dataset, the CRC trailer — or a
+// truncated or replaced entry, changed behind the cache's back, fails
+// the next hit's decode, which evicts the entry and refetches it; the
+// repaired entry is trustworthy again.
 func TestDownloadCacheCorruptionEvictsAndRefetches(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := NewDownloadCache(dir, 0)
+	good := hdfPayload(t, "good-bytes")
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"head", func(b []byte) []byte { b[0] ^= 0x01; return b }},
+		{"dataset", func(b []byte) []byte { b[len(b)-4-len("good-bytes")/2] ^= 0x40; return b }},
+		{"crc", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"replaced", func([]byte) []byte { return []byte("trunc") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cache, err := NewDownloadCache(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+			var calls atomic.Int64
+			d1 := t.TempDir()
+			if _, _, err := cache.Fetch(ctx, key, d1, cacheFill(t, d1, key.Name, good, &calls)); err != nil {
+				t.Fatal(err)
+			}
+			entry := filepath.Join(dir, key.hash()+".granule")
+			if err := os.WriteFile(entry, tc.corrupt([]byte(good)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			d2 := t.TempDir()
+			path, hit, err := cache.Fetch(ctx, key, d2, cacheFill(t, d2, key.Name, good, &calls))
+			if err != nil || hit || calls.Load() != 2 {
+				t.Fatalf("corrupted entry: hit=%v err=%v fills=%d, want a refetch", hit, err, calls.Load())
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != good {
+				t.Fatalf("refetched %d bytes, err %v", len(got), err)
+			}
+			if _, _, evictions := cache.Stats(); evictions != 1 {
+				t.Fatalf("evictions=%d, want 1", evictions)
+			}
+			if _, hit, err := cache.Fetch(ctx, key, t.TempDir(), nil); err != nil || !hit {
+				t.Fatalf("after the refetch: hit=%v err=%v", hit, err)
+			}
+		})
+	}
+}
+
+// TestDownloadCacheRejectsCorruptFill: a miss whose fetched bytes fail
+// their decode fails, is not ingested, and leaves no file at the
+// destination; the next fetch of the key goes to the archive again.
+func TestDownloadCacheRejectsCorruptFill(t *testing.T) {
+	cache, err := NewDownloadCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
+	good := hdfPayload(t, "good-bytes")
+	torn := good[:len(good)/2]
 	var calls atomic.Int64
-	d1 := t.TempDir()
-	if _, _, err := cache.Fetch(ctx, key, d1, cacheFill(t, d1, key.Name, "good-bytes", &calls)); err != nil {
-		t.Fatal(err)
+	dest := t.TempDir()
+	if _, _, err := cache.Fetch(ctx, key, dest, cacheFill(t, dest, key.Name, torn, &calls)); err == nil {
+		t.Fatal("a torn fill was served")
 	}
-
-	// Truncate the cached payload behind the cache's back.
-	data := filepath.Join(dir, key.hash()+".granule")
-	if err := os.WriteFile(data, []byte("trunc"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dest, key.Name)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the torn file was left at the destination: %v", err)
 	}
-
-	d2 := t.TempDir()
-	path, hit, err := cache.Fetch(ctx, key, d2, cacheFill(t, d2, key.Name, "good-bytes", &calls))
-	if err != nil || hit {
-		t.Fatalf("corrupted entry served as hit=%v err=%v", hit, err)
+	if n := cache.SizeBytes(); n != 0 {
+		t.Fatalf("the torn fill was ingested: %d bytes cached", n)
 	}
-	got, _ := os.ReadFile(path)
-	if string(got) != "good-bytes" {
-		t.Fatalf("refetched content %q", got)
+	path, hit, err := cache.Fetch(ctx, key, dest, cacheFill(t, dest, key.Name, good, &calls))
+	if err != nil || hit || calls.Load() != 2 {
+		t.Fatalf("refetch: hit=%v err=%v fills=%d", hit, err, calls.Load())
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("fill ran %d times, want 2 (corruption must force a refetch)", calls.Load())
-	}
-	_, _, evictions := cache.Stats()
-	if evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", evictions)
-	}
-	// The repaired entry is trustworthy again.
-	d3 := t.TempDir()
-	if _, hit, err := cache.Fetch(ctx, key, d3, nil); err != nil || !hit {
-		t.Fatalf("post-repair fetch: hit=%v err=%v", hit, err)
+	if got, err := os.ReadFile(path); err != nil || string(got) != good {
+		t.Fatalf("refetched %d bytes, err %v", len(got), err)
 	}
 }
 
@@ -176,12 +260,13 @@ func TestDownloadCacheSingleflight(t *testing.T) {
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
 	destDir := t.TempDir()
 	var calls atomic.Int64
+	shared := hdfPayload(t, "shared")
 	gate := make(chan struct{})
 	fill := func(context.Context) (string, error) {
 		calls.Add(1)
 		<-gate
 		path := filepath.Join(destDir, key.Name)
-		if err := os.WriteFile(path, []byte("shared"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(shared), 0o644); err != nil {
 			return "", err
 		}
 		return path, nil
@@ -255,6 +340,7 @@ func TestDownloadCacheWaiterOutlivesCanceledLeader(t *testing.T) {
 	}
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
 	var calls atomic.Int64
+	payload := hdfPayload(t, "data")
 	filling := make(chan struct{})
 	fill := func(destDir string) func(context.Context) (string, error) {
 		return func(ctx context.Context) (string, error) {
@@ -264,7 +350,7 @@ func TestDownloadCacheWaiterOutlivesCanceledLeader(t *testing.T) {
 				return "", ctx.Err()
 			}
 			path := filepath.Join(destDir, key.Name)
-			return path, os.WriteFile(path, []byte("data"), 0o644)
+			return path, os.WriteFile(path, []byte(payload), 0o644)
 		}
 	}
 
@@ -316,8 +402,9 @@ func TestDownloadCacheRebuildsFromDisk(t *testing.T) {
 	}
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
 	var calls atomic.Int64
+	persisted := hdfPayload(t, "persisted")
 	d1 := t.TempDir()
-	if _, _, err := cache.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, "persisted", &calls)); err != nil {
+	if _, _, err := cache.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, persisted, &calls)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -332,8 +419,51 @@ func TestDownloadCacheRebuildsFromDisk(t *testing.T) {
 		t.Fatalf("fetch after reopen: hit=%v err=%v", hit, err)
 	}
 	got, _ := os.ReadFile(path)
-	if string(got) != "persisted" {
+	if string(got) != persisted {
 		t.Fatalf("content %q after reopen", got)
+	}
+}
+
+// TestDownloadCacheReopensSidecarLayout: a directory written by a
+// version that kept a `.sha256` content-hash sidecar beside each entry
+// reopens with every entry warm — each fetch a hit, no fill — and no
+// sidecar left behind.
+func TestDownloadCacheReopensSidecarLayout(t *testing.T) {
+	dir := t.TempDir()
+	var keys []CacheKey
+	for i := 0; i < 3; i++ {
+		key := CacheKey{ArchiveURL: "u", Token: "t", Name: fmt.Sprintf("g%d.hdf", i)}
+		payload := hdfPayload(t, key.Name)
+		sum := sha256.Sum256([]byte(payload))
+		if err := os.WriteFile(filepath.Join(dir, key.hash()+".granule"), []byte(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key.hash()+".sha256"), []byte(hex.EncodeToString(sum[:])), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+
+	cache, err := NewDownloadCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sidecars, _ := filepath.Glob(filepath.Join(dir, "*.sha256")); len(sidecars) != 0 {
+		t.Fatalf("%d sidecars left after reopen", len(sidecars))
+	}
+	var calls atomic.Int64
+	for _, key := range keys {
+		dest := t.TempDir()
+		path, hit, err := cache.Fetch(context.Background(), key, dest, cacheFill(t, dest, key.Name, hdfPayload(t, key.Name), &calls))
+		if err != nil || !hit {
+			t.Fatalf("%s after reopen: hit=%v err=%v", key.Name, hit, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != hdfPayload(t, key.Name) {
+			t.Fatalf("%s: content %q after reopen", key.Name, got)
+		}
+	}
+	if hits, misses, _ := cache.Stats(); calls.Load() != 0 || hits != int64(len(keys)) || misses != 0 {
+		t.Fatalf("fills=%d hits=%d misses=%d, want 0/%d/0", calls.Load(), hits, misses, len(keys))
 	}
 }
 
@@ -379,7 +509,7 @@ func TestDownloadCacheConcurrentHitsKeepEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
-	payload := strings.Repeat("granule-bytes.", 1<<14) // ~230 kB: hashing spans the race
+	payload := hdfPayload(t, strings.Repeat("granule-bytes.", 1<<14)) // ~230 kB: decoding spans the race
 	var calls atomic.Int64
 	d0 := t.TempDir()
 	if _, _, err := cache.Fetch(context.Background(), key, d0, cacheFill(t, d0, key.Name, payload, &calls)); err != nil {
@@ -432,28 +562,30 @@ func TestDownloadCacheHitServesVerifiedBytes(t *testing.T) {
 	}
 	ctx := context.Background()
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
-	kept := []byte("fetched-bytes")
+	kept := []byte(hdfPayload(t, "fetched-bytes"))
 	d1 := t.TempDir()
-	_, data, hit, err := cache.FetchBytes(ctx, key, d1, func(context.Context) (string, []byte, error) {
+	_, f, hit, err := cache.FetchFile(ctx, key, d1, func(context.Context) (string, []byte, error) {
 		path := filepath.Join(d1, key.Name)
 		return path, kept, os.WriteFile(path, kept, 0o644)
 	})
 	if err != nil || hit {
 		t.Fatalf("miss: hit=%v err=%v", hit, err)
 	}
-	if &data[0] != &kept[0] {
+	// The dataset is the last thing before the 4-byte CRC trailer.
+	data := payloadOf(t, f)
+	if &data[0] != &kept[len(kept)-4-len(data)] {
 		t.Fatal("the miss returned a copy of the bytes its fill kept")
 	}
 
 	d2 := t.TempDir()
-	path, data, hit, err := cache.FetchBytes(ctx, key, d2, nil)
-	if err != nil || !hit || string(data) != string(kept) {
-		t.Fatalf("hit: %q hit=%v err=%v", data, hit, err)
+	path, f, hit, err := cache.FetchFile(ctx, key, d2, nil)
+	if err != nil || !hit || string(payloadOf(t, f)) != "fetched-bytes" {
+		t.Fatalf("hit: %v hit=%v err=%v", f, hit, err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, key.hash()+".granule"), []byte("rewritten"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != string(kept) {
+	if data := payloadOf(t, f); string(data) != "fetched-bytes" {
 		t.Fatalf("served bytes changed with the entry: %q", data)
 	}
 	if onDisk, err := os.ReadFile(path); err != nil || string(onDisk) != "rewritten" {
@@ -461,11 +593,12 @@ func TestDownloadCacheHitServesVerifiedBytes(t *testing.T) {
 	}
 	// The rewritten entry no longer verifies: the next hit evicts it.
 	d3 := t.TempDir()
-	if _, data, hit, err := cache.FetchBytes(ctx, key, d3, func(context.Context) (string, []byte, error) {
+	refetched := []byte(hdfPayload(t, "refetched"))
+	if _, f, hit, err := cache.FetchFile(ctx, key, d3, func(context.Context) (string, []byte, error) {
 		path := filepath.Join(d3, key.Name)
-		return path, []byte("refetched"), os.WriteFile(path, []byte("refetched"), 0o644)
-	}); err != nil || hit || string(data) != "refetched" {
-		t.Fatalf("rewritten entry: %q hit=%v err=%v", data, hit, err)
+		return path, refetched, os.WriteFile(path, refetched, 0o644)
+	}); err != nil || hit || string(payloadOf(t, f)) != "refetched" {
+		t.Fatalf("rewritten entry: %v hit=%v err=%v", f, hit, err)
 	}
 	if _, _, evictions := cache.Stats(); evictions != 1 {
 		t.Fatalf("evictions=%d, want 1", evictions)
@@ -484,7 +617,7 @@ func TestDownloadCacheMissLinksFetchedFile(t *testing.T) {
 	key := CacheKey{ArchiveURL: "u", Token: "t", Name: "g.hdf"}
 	var calls atomic.Int64
 	d1 := t.TempDir()
-	path, _, err := cache.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, "payload", &calls))
+	path, _, err := cache.Fetch(context.Background(), key, d1, cacheFill(t, d1, key.Name, hdfPayload(t, "payload"), &calls))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -949,3 +949,86 @@ func TestGranuleRefetchesCorruptedEntry(t *testing.T) {
 		t.Fatalf("evictions=%v hits=%v, want 1 and 2", ev, hits)
 	}
 }
+
+// corruptingArchive serves the synthetic archive, except that the first
+// response for the file named name carries one flipped byte in the
+// middle of its body — a torn or corrupted transfer the HTTP layer does
+// not notice.
+func corruptingArchive(t *testing.T, name string) *httptest.Server {
+	t.Helper()
+	srv, err := laads.NewServer(laads.ServerConfig{ScaleDown: testScale, Token: "test-token"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/"+name) || served.Swap(true) {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		body[len(body)/2] ^= 0x40
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestGranuleRefetchesCorruptInput: an input whose bytes fail their
+// decode — fetched corrupt from the archive, with the download cache on
+// or off, or left corrupt in DataDir by an earlier fetch — fails the
+// lease and is not left in DataDir, so the next lease of the granule
+// fetches that product again and publishes the labeled file.
+func TestGranuleRefetchesCorruptInput(t *testing.T) {
+	idx := productiveGranules(t, 1, 2)[0]
+	model, codebook := trainAndSave(t, idx)
+	g := modis.GranuleID{Satellite: modis.Terra, Year: 2022, DOY: 1, Index: idx}
+	geo := modis.FileName(modis.Product{Satellite: g.Satellite, Kind: modis.Geo}, g)
+
+	clean := newArchive(t)
+	want := dirFiles(t, filepath.Dir(runGranule(t, granuleKernel(t), granuleTask(t, clean.URL, idx, model, codebook, "")).File))
+
+	for _, tc := range []struct {
+		name   string
+		cached bool
+		onDisk bool // the corrupt copy is in DataDir before the first lease
+	}{
+		{name: "fetched", cached: false},
+		{name: "fetched-cached", cached: true},
+		{name: "on-disk", cached: false, onDisk: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			archive := corruptingArchive(t, geo)
+			fn := granuleKernel(t)
+			if tc.cached {
+				fn, _ = cachedGranuleKernel(t, t.TempDir())
+			}
+			args := granuleTask(t, archive.URL, idx, model, codebook, "")
+			if tc.onDisk {
+				// An earlier fetch through the same archive left the
+				// corrupt body in DataDir.
+				c := laads.NewClient(archive.URL, "test-token")
+				if _, err := c.Download(context.Background(), modis.Product{Satellite: g.Satellite, Kind: modis.Geo}, g.Year, g.DOY, geo, args.DataDir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := fn(context.Background(), wire(t, args)); err == nil || !strings.Contains(err.Error(), "CRC") {
+				t.Fatalf("lease over a corrupt input = %v, want a CRC failure", err)
+			}
+			if _, err := os.Stat(filepath.Join(args.DataDir, geo)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the corrupt input stayed in DataDir: %v", err)
+			}
+			res := runGranule(t, fn, args)
+			if res.FetchedFiles != 1 || res.File == "" {
+				t.Fatalf("retry fetched %d files, published %q; want the one refetch and a file", res.FetchedFiles, res.File)
+			}
+			sameFiles(t, "outbox after the retry", dirFiles(t, args.OutboxDir), want)
+		})
+	}
+}

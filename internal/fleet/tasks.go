@@ -85,8 +85,8 @@ type GranuleResult struct {
 	FetchedBytes int64 `json:"fetched_bytes"`
 
 	Started time.Time     `json:"started"`
-	Fetch   time.Duration `json:"fetch_ns"`   // archive or cache fetch of the HDF triple
-	Extract time.Duration `json:"extract_ns"` // wait for a compute slot + HDF decode + tile extraction
+	Fetch   time.Duration `json:"fetch_ns"`   // archive or cache fetch of the HDF triple + decode of what it fetched or hit
+	Extract time.Duration `json:"extract_ns"` // wait for a compute slot + decode of inputs already on disk + tile extraction
 	Label   time.Duration `json:"label_ns"`   // encode + codebook assignment
 	Write   time.Duration `json:"write_ns"`   // NetCDF encode + temp write + rename
 }
@@ -196,9 +196,8 @@ type Kernels struct {
 	clients map[string]*laads.Client
 	// fetches coalesces concurrent cache-less downloads of one
 	// destination path: two leases of one granule in this process (a
-	// steal, a requeue) must cost one archive fetch, not two writers on
-	// the same pid-suffixed temp file. (With the cache enabled its own
-	// singleflight covers this.) guarded by mu
+	// steal, a requeue) must cost one archive fetch, not two. (With the
+	// cache enabled its own singleflight covers this.) guarded by mu
 	fetches map[string]*fetchCall
 
 	// fetching counts granule tasks in their fetch phase.
@@ -346,17 +345,18 @@ var granuleKinds = [3]modis.Kind{modis.L1B, modis.Geo, modis.Cloud}
 // fetchGranuleInputs fetches the granule's product files missing from
 // dataDir, all three concurrently — against a latency-shaped archive
 // the triple costs one round-trip instead of three — and returns how
-// many files and bytes it fetched from the archive itself, plus the
-// content of each input it fetched or the download cache served, for
-// the kernel to decode without reading the file back. An input it
-// returns no content for (already in dataDir, or filled by a concurrent
-// fetch this one waited on) is on disk. Each fetch goes through the
-// download cache (when enabled), so re-leases and restarted runs hit
-// disk. A nil client means this kernel set's own for the credential. No
-// archive URL means shared storage; missing files surface later as read
-// errors.
-func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, [3][]byte, error) {
-	var inputs [3][]byte
+// many files and bytes it fetched from the archive itself, plus each
+// input it fetched or the download cache served, decoded from the bytes
+// the fetch wrote or the hit read, so the kernel never reads it back or
+// checks it twice. An input it returns no file for (already in dataDir,
+// or filled by a concurrent fetch this one waited on) is on disk. A
+// fetched input that fails its decode is not left in dataDir. Each fetch
+// goes through the download cache (when enabled), so re-leases and
+// restarted runs hit disk. A nil client means this kernel set's own for
+// the credential. No archive URL means shared storage; missing files
+// surface later as read errors.
+func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, [3]*hdf.File, error) {
+	var inputs [3]*hdf.File
 	if url == "" {
 		return 0, 0, inputs, nil
 	}
@@ -395,7 +395,7 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, 
 				return
 			}
 			key := CacheKey{ArchiveURL: url, Token: token, Name: name}
-			_, inputs[i], _, errs[i] = k.downloads.FetchBytes(ctx, key, dataDir, fill)
+			_, inputs[i], _, errs[i] = k.downloads.FetchFile(ctx, key, dataDir, fill)
 		}(i, prod, name)
 	}
 	wg.Wait()
@@ -410,12 +410,14 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, 
 }
 
 // fetchDirect runs fill for dest, coalescing concurrent callers: the
-// first becomes the leader and gets the bytes its fill kept, the rest
-// wait and succeed (with no bytes; the file is on disk) when it does. A
-// waiter whose leader failed (possibly on the leader's own canceled
-// context) loops and retries as leader, so a lease never fails a fetch
-// just because a duplicate lease's attempt died.
-func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, []byte, error)) ([]byte, error) {
+// first becomes the leader and decodes the bytes its fill kept, the rest
+// wait and succeed (with no file; it is on disk) when it does. A fill
+// whose bytes fail the decode fails the leader, and the file it wrote is
+// removed before any waiter wakes. A waiter whose leader failed
+// (possibly on the leader's own canceled context) loops and retries as
+// leader, so a lease never fails a fetch just because a duplicate
+// lease's attempt died.
+func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, []byte, error)) (*hdf.File, error) {
 	for {
 		if _, err := os.Stat(dest); err == nil {
 			return nil, nil
@@ -436,14 +438,34 @@ func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(contex
 		call := &fetchCall{done: make(chan struct{})}
 		k.fetches[dest] = call
 		k.mu.Unlock()
-		var data []byte
-		_, data, call.err = fill(ctx)
+		var f *hdf.File
+		path, data, err := fill(ctx)
+		if err == nil {
+			f, err = decodeFetched(path, data)
+		}
+		call.err = err
 		k.mu.Lock()
 		delete(k.fetches, dest)
 		k.mu.Unlock()
 		close(call.done)
-		return data, call.err
+		return f, err
 	}
+}
+
+// readInput decodes a granule input already on disk. One fetched from
+// an archive that fails its decode — an earlier fetch's torn or
+// corrupted body — is unlinked, so the next lease of the granule fetches
+// it again instead of failing on it for good; an input on shared
+// storage is never removed.
+func readInput(path string, fetched bool) (*hdf.File, error) {
+	if !fetched {
+		return hdf.ReadFile(path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decodeFetched(path, data)
 }
 
 // parseGranuleRef decodes and validates a granule task's reference.
@@ -469,8 +491,9 @@ func parseGranuleRef(args map[string]any) (GranuleArgs, modis.GranuleID, error) 
 // granule is the fused kernel: fetch the granule's triple (inputs
 // absent from DataDir come from the archive when credentials are
 // supplied, so a worker at another facility only needs the reference),
-// decode — the bytes the fetch wrote or the cache verified, so a
-// fetched input is never read back; only inputs already on disk are
+// decode — the fetch decodes the bytes it wrote or its cache hit read,
+// and that decode's CRC is the hit's integrity check, so a fetched input
+// is never read back or checked twice; only inputs already on disk are
 // read — extract tiles, label them in memory with the cached labeler,
 // and write the labeled NetCDF once, straight into OutboxDir. The run
 // that submitted the task owns OutboxDir; the kernel never creates it,
@@ -513,8 +536,8 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	}
 	clock := phaseClock{mark: out.Started}
 	k.fetching.Add(1)
-	var inputs [3][]byte
-	out.FetchedFiles, out.FetchedBytes, inputs, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
+	var files [3]*hdf.File
+	out.FetchedFiles, out.FetchedBytes, files, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
 	k.fetching.Add(-1)
 	if err != nil {
 		return nil, err
@@ -524,15 +547,12 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 		return nil, err
 	}
 	defer func() { <-gate }()
-	var files [3]*hdf.File
 	for i, kind := range granuleKinds {
-		path := filepath.Join(a.DataDir, modis.FileName(modis.Product{Satellite: g.Satellite, Kind: kind}, g))
-		if inputs[i] == nil {
-			files[i], err = hdf.ReadFile(path)
-		} else if files[i], err = hdf.Decode(inputs[i]); err != nil {
-			err = fmt.Errorf("%s: %w", path, err)
+		if files[i] != nil {
+			continue
 		}
-		if err != nil {
+		path := filepath.Join(a.DataDir, modis.FileName(modis.Product{Satellite: g.Satellite, Kind: kind}, g))
+		if files[i], err = readInput(path, a.ArchiveURL != ""); err != nil {
 			return nil, err
 		}
 	}

@@ -224,15 +224,16 @@ func (c *Client) fetchOnce(ctx context.Context, url, name, destDir string, keep 
 		return 0, "", nil, err
 	}
 	final := filepath.Join(destDir, name)
-	// The temp name carries the pid: fleet workers share run
-	// directories, and a stolen lease can put two processes on the same
-	// file at once — each must stage privately, with rename settling the
-	// winner (identical bytes either way).
-	tmp := fmt.Sprintf("%s.part.%d", final, os.Getpid())
-	out, err := os.Create(tmp)
+	// Every call stages under a temp of its own: fleet workers share run
+	// directories, and a stolen lease can put two workers — two
+	// processes, or two in one — on the same file at once. Each stages
+	// privately, with rename settling the winner (identical bytes either
+	// way). The name ends in ".part", so a crawler skips it.
+	out, err := os.CreateTemp(destDir, name+".*.part")
 	if err != nil {
 		return 0, "", nil, err
 	}
+	tmp := out.Name()
 	var body io.Reader = resp.Body
 	var kept *bytes.Buffer
 	if keep {

@@ -2,9 +2,11 @@ package laads
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +94,71 @@ func TestDownloadKeepReturnsWrittenBytes(t *testing.T) {
 	plain, err := c.Download(ctx, modis.MOD021KM, 2022, 1, name, t.TempDir())
 	if err != nil || plain.Data != nil {
 		t.Fatalf("Download kept %d bytes, err %v", len(plain.Data), err)
+	}
+}
+
+// TestConcurrentDownloadsStagePrivately: two clients in one process —
+// two in-process fleet workers racing on one shared-directory file —
+// each stage the body under a temp of their own, named so a crawler
+// skips it, and both succeed with the served bytes in place.
+func TestConcurrentDownloadsStagePrivately(t *testing.T) {
+	body := []byte(strings.Repeat("granule-body.", 4096))
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		w.Write(body[len(body)/2:])
+	}))
+	defer ts.Close()
+
+	dir := t.TempDir()
+	const name = "MOD021KM.A2022001.0000.061.hdf"
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		c := NewClient(ts.URL, "")
+		c.Retries = 0
+		go func() {
+			_, err := c.Download(context.Background(), modis.MOD021KM, 2022, 1, name, dir)
+			errs <- err
+		}()
+	}
+	// Both bodies are half written: each must be in a temp of its own.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) == 2 {
+			for _, e := range ents {
+				if !strings.HasSuffix(e.Name(), ".part") {
+					t.Errorf("temp %q does not end in .part", e.Name())
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d staging files for two concurrent downloads, want 2", len(ents))
+		}
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("download: %v", err)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil || string(got) != string(body) {
+		t.Fatalf("final file: %d bytes (want %d), err %v", len(got), len(body), err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("%d files left in the directory, want only the download", len(ents))
 	}
 }
 
