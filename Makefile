@@ -1,7 +1,7 @@
 # Standard entry points for the eoml repo.
 #
-#   make check      — what CI runs: gofmt gate + vet + eomlvet + race tests
-#                     + fuzz-smoke + serve-smoke + fleet-smoke +
+#   make check      — what CI runs: gofmt gate + vet + the non-amd64 build
+#                     (cross) + eomlvet + race tests + fuzz-smoke + serve-smoke + fleet-smoke +
 #                     reduced-size bench smokes (bench-ci, bench-e2e) +
 #                     the granule benchmark's own tests and one-second
 #                     correctness runs of it (local, stream, cold and
@@ -28,7 +28,7 @@ BENCH_PAT := BenchmarkMatMulBlocked|BenchmarkMatMulSmall|BenchmarkEncodeArena|Be
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e bench-granule bench-granule-test bench-granule-smoke serve-smoke fleet-smoke check
+.PHONY: build test vet cross lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e bench-granule bench-granule-test bench-granule-smoke serve-smoke fleet-smoke check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,12 @@ test:
 vet:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -unusedresult ./...
+
+# The non-amd64 build: vet type-checks every package for arm64, so the
+# scalar twins in simd_noasm.go (the only code that build compiles in
+# place of the assembly) cannot drift from the amd64 entry points.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # eomlvet: the repo's own stdlib-only analyzers for concurrency and
 # resource invariants (see DESIGN.md §10). Exits non-zero on any finding.
@@ -148,4 +154,4 @@ bench-granule-smoke:
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-granule-test bench-granule-smoke
+check: fmt vet cross lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-granule-test bench-granule-smoke

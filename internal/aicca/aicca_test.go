@@ -1,12 +1,16 @@
 package aicca
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"github.com/eoml/eoml/internal/ricc"
+	"github.com/eoml/eoml/internal/tensor"
 	"github.com/eoml/eoml/internal/tile"
 )
 
@@ -223,5 +227,55 @@ func TestLabelTilesEmpty(t *testing.T) {
 	labels, err := labeler.LabelTiles(nil)
 	if err != nil || labels != nil {
 		t.Fatalf("empty input: %v, %v", labels, err)
+	}
+}
+
+// encodeLabelDigestGolden is SHA-256 over the float32 bits of every
+// EncodeBatch latent and the int16 of every LabelTiles label in
+// TestEncodeLabelDigestPinned, recorded with the axpy-per-row GEMM the
+// register-blocked kernel replaced. The pin holds on amd64 with AVX2+FMA,
+// where every C element is the same ascending chain of single-rounding
+// FMAs under both kernels.
+const encodeLabelDigestGolden = "206ad97e1ee1fde73ca014e341189d2c25c097193b25466d339e207f0011a012"
+
+// TestEncodeLabelDigestPinned pins training (MatMul forward, MatMulTA
+// weight gradients), the batch encode (MatMulInto per layer) and the
+// centroid assignment bit for bit: any reassociation of a GEMM sum moves
+// a latent bit and so the digest. The latent width and both conv widths
+// are multiples of 16, so every GEMM runs through the register kernel;
+// the decoder's 3-channel output conv keeps the ragged-column path.
+func TestEncodeLabelDigestPinned(t *testing.T) {
+	if !tensor.SIMDEnabled() {
+		t.Skip("digest recorded with the AVX2+FMA kernels; the scalar fallback rounds each multiply separately")
+	}
+	cfg := trainCfg()
+	cfg.LatentDim = 32
+	labeler, _, err := Train(makeTiles(64, 41), cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := makeTiles(58, 42)
+	latents, err := labeler.Model.EncodeBatch(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := labeler.LabelTiles(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [4]byte
+	for _, row := range latents {
+		for _, v := range row {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, l := range labels {
+		binary.LittleEndian.PutUint16(buf[:2], uint16(l))
+		h.Write(buf[:2])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != encodeLabelDigestGolden {
+		t.Errorf("encode/label digest drifted:\n got: %s\nwant: %s", got, encodeLabelDigestGolden)
 	}
 }

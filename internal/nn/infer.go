@@ -10,19 +10,11 @@
 //     steady-state inference recycles memory instead of regrowing the
 //     heap every batch.
 //
-// The two entry points trade latency against throughput:
-//
-//   - Infer is the small-batch/latency path: convolutions run through
-//     the fused direct kernel (no im2col matrix at all), which wins
-//     when the batch is a handful of tiles and the im2col buffer would
-//     be pure overhead.
-//   - InferBatch is the throughput path: each convolution materializes
-//     the im2col matrix in arena scratch and runs ONE blocked SIMD GEMM
-//     for the whole batch — the same kernel schedule as Forward, minus
-//     its allocations. For encode-sized batches (256 tiles) the GEMM
-//     runs at SIMD rate while the fused kernel is bound by scalar FMAs,
-//     which is exactly the BENCH_4 arena-slower-than-noarena regression
-//     this path erases.
+// Infer and InferBatch are one path: each convolution materializes the
+// im2col matrix in arena scratch and runs ONE blocked SIMD GEMM for the
+// whole batch — the same kernel schedule as Forward, minus its
+// allocations, so the results are bit-identical to Forward's.
+// InferBatchQ8 is the int8 variant.
 //
 // Buffer ownership: a layer's Infer/InferBatch may return an
 // arena-owned tensor or a view of its input (reshapes). The Sequential
@@ -51,35 +43,11 @@ func sameBase(a, b *tensor.T) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
-// Infer computes the convolution through the fused direct kernel,
-// skipping the im2col matrix entirely — for single-file batches that
-// matrix is 9× the input and dominates the memory traffic.
+// Infer computes the convolution as im2col + one blocked GEMM over the
+// whole batch, with both the column matrix and the product living in
+// arena scratch. Weights stay in their training layout [InC*K*K, OutC],
+// so no per-call transpose is needed.
 func (l *Conv2D) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
-	g := l.geom
-	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
-		panic(fmt.Sprintf("nn: %s: input %v, want [N %d %d %d]", l.label, x.Shape, g.InC, g.InH, g.InW))
-	}
-	// Transpose weights from the matmul layout [InC*K*K, OutC] kept for
-	// training into the [OutC, InC, K, K] layout the fused kernel reads.
-	kk := g.InC * g.Kernel * g.Kernel
-	wd := a.Get(g.OutC, g.InC, g.Kernel, g.Kernel)
-	for r := 0; r < kk; r++ {
-		row := l.w.W.Data[r*g.OutC : (r+1)*g.OutC]
-		for oc, v := range row {
-			wd.Data[oc*kk+r] = v
-		}
-	}
-	out := a.Get(x.Shape[0], g.OutC, g.OutH, g.OutW)
-	tensor.ConvFusedInto(x, wd, l.b.W, g, out)
-	a.Put(wd)
-	return out
-}
-
-// InferBatch computes the convolution as im2col + one blocked GEMM over
-// the whole batch, with both the column matrix and the product living
-// in arena scratch. Weights stay in their training layout [InC*K*K,
-// OutC], so no per-call transpose is needed.
-func (l *Conv2D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	g := l.geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
 		panic(fmt.Sprintf("nn: %s: input %v, want [N %d %d %d]", l.label, x.Shape, g.InC, g.InH, g.InW))
@@ -107,6 +75,10 @@ func (l *Conv2D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	a.Put(prod)
 	return out
 }
+
+// InferBatch is Infer: the im2col GEMM is the fast path at every batch
+// size.
+func (l *Conv2D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // invalidateQuant drops the cached int8 weights; Forward calls it so
 // the next Q8 inference requantizes post-training-step weights.
@@ -311,9 +283,9 @@ func (s *Sequential) run(x *tensor.T, a *tensor.LocalArena, step func(Layer, *te
 	return cur
 }
 
-// Infer runs all layers through the fused small-batch kernels. The
-// returned tensor is arena-owned; the caller copies out what it keeps
-// and Puts it back.
+// Infer runs all layers through their Infer kernels, the same
+// batch-GEMM path as InferBatch. The returned tensor is arena-owned; the
+// caller copies out what it keeps and Puts it back.
 func (s *Sequential) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) })
 }

@@ -93,55 +93,134 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 	MatMul(New(2, 3), New(4, 5))
 }
 
-// convCases sweeps odd geometries: pad > 0, stride > 1, non-square-friendly
-// input sizes, and kernel sizes that exercise both the fused 3×3 path and
-// the generic fallback.
-func TestConvFusedMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	cases := []struct {
-		inC, outC, k, stride, pad, inH, inW int
-	}{
-		{1, 1, 3, 1, 0, 5, 5},
-		{3, 4, 3, 1, 1, 7, 9},
-		{2, 5, 3, 2, 1, 11, 6},
-		{6, 16, 3, 2, 1, 16, 16}, // RICC encoder geometry
-		{4, 3, 3, 3, 2, 10, 13},
-		{2, 2, 3, 1, 2, 4, 3}, // pad wider than interior
-		{3, 2, 3, 2, 0, 9, 7},
-		{2, 3, 1, 1, 0, 6, 6},  // generic fallback: k=1
-		{2, 3, 5, 2, 2, 11, 9}, // generic fallback: k=5
-		{1, 2, 2, 1, 1, 5, 5},  // generic fallback: even kernel
-	}
-	for _, cs := range cases {
-		g, err := NewConvGeom(cs.inC, cs.outC, cs.k, cs.stride, cs.pad, cs.inH, cs.inW)
-		if err != nil {
-			t.Fatalf("%+v: %v", cs, err)
-		}
-		for _, n := range []int{1, 3} {
-			x := randT(r, n, cs.inC, cs.inH, cs.inW)
-			w := randT(r, cs.outC, cs.inC, cs.k, cs.k)
-			bias := randT(r, cs.outC)
-			label := fmt.Sprintf("conv %+v n=%d", cs, n)
-			compareT(t, label, ConvFused(x, w, bias, g), ConvDirect(x, w, bias, g), 1e-5)
-			compareT(t, label+" nil-bias", ConvFused(x, w, nil, g), ConvDirect(x, w, nil, g), 1e-5)
+// axpyLoop is the axpy-per-row GEMM, the bitwise oracle for the
+// register kernel: each C row is cleared, then takes one axpyFn per
+// nonzero A element in ascending k order. A element
+// (i,p) is aD[i*rs+p*ks]; B and C are row-major with leading dims ldb
+// and ldc.
+func axpyLoop(axpyFn func(float32, []float32, []float32), aD []float32, rs, ks int, bD []float32, ldb int, cD []float32, ldc, m, k, n int) {
+	for i := 0; i < m; i++ {
+		c := cD[i*ldc : i*ldc+n]
+		clear(c)
+		for p := 0; p < k; p++ {
+			if av := aD[i*rs+p*ks]; av != 0 {
+				axpyFn(av, bD[p*ldb:p*ldb+n], c)
+			}
 		}
 	}
 }
 
-func TestConvFusedIntoOverwritesDirtyBuffer(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	g, err := NewConvGeom(3, 4, 3, 2, 1, 9, 7)
-	if err != nil {
-		t.Fatal(err)
+// randZeros is randT's data with about a quarter of the entries zero
+// (both signs), the way im2col padding and ReLU-like layers feed zeros
+// into a GEMM's A operand.
+func randZeros(r *rand.Rand, n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		switch r.Intn(8) {
+		case 0:
+		case 1:
+			s[i] = float32(math.Copysign(0, -1))
+		default:
+			s[i] = float32(r.NormFloat64())
+		}
 	}
-	x := randT(r, 2, 3, 9, 7)
-	w := randT(r, 4, 3, 3, 3)
-	out := New(2, 4, g.OutH, g.OutW)
-	for i := range out.Data {
-		out.Data[i] = -1e9
+	return s
+}
+
+// sameBits fails unless got and want agree in every bit.
+func sameBits(t *testing.T, label string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: [%d] = %g (%#08x), want %g (%#08x)", label, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
 	}
-	ConvFusedInto(x, w, nil, g, out)
-	compareT(t, "conv into", out, ConvDirect(x, w, nil, g), 1e-5)
+}
+
+// bitShapes are the property sweep's [m, k, n]: every m, n in 1..70
+// with a small random k, plus the RICC encoder's three GEMMs at a
+// 58-tile batch and their k against n = 48.
+func bitShapes(r *rand.Rand) [][3]int {
+	var shapes [][3]int
+	for m := 1; m <= 70; m++ {
+		for n := 1; n <= 70; n++ {
+			shapes = append(shapes, [3]int{m, 1 + r.Intn(20), n})
+		}
+	}
+	for _, n := range []int{16, 32, 48} {
+		shapes = append(shapes, [3]int{58 * 64, 54, n}, [3]int{58 * 16, 144, n}, [3]int{58, 512, n})
+	}
+	return shapes
+}
+
+// TestMatMulBitIdenticalToAxpyLoop pins MatMul, MatMulInto and MatMulTA
+// to the axpy-per-row loop bit for bit, under the AVX2 kernels and the
+// scalar fallback alike: any reassociation of a C element's sum fails.
+func TestMatMulBitIdenticalToAxpyLoop(t *testing.T) {
+	kernelModes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(15))
+		for _, s := range bitShapes(r) {
+			m, k, n := s[0], s[1], s[2]
+			a := FromSlice(randZeros(r, m*k), m, k)
+			at := FromSlice(randZeros(r, k*m), k, m)
+			b := randT(r, k, n)
+			want := make([]float32, m*n)
+			label := fmt.Sprintf("%v", s)
+
+			axpyLoop(axpy, a.Data, k, 1, b.Data, n, want, n, m, k, n)
+			sameBits(t, "matmul "+label, MatMul(a, b).Data, want)
+			out := New(m, n)
+			for i := range out.Data {
+				out.Data[i] = float32(math.NaN()) // must be overwritten
+			}
+			MatMulInto(a, b, out)
+			sameBits(t, "matmul into "+label, out.Data, want)
+
+			axpyLoop(axpy, at.Data, 1, m, b.Data, n, want, n, m, k, n)
+			sameBits(t, "matmulTA "+label, MatMulTA(at, b).Data, want)
+		}
+		// k = 0 has no tensor shape; drive the kernel directly. C is zeroed.
+		for _, mn := range [][2]int{{1, 1}, {4, 16}, {9, 35}} {
+			c := make([]float32, mn[0]*mn[1])
+			for i := range c {
+				c[i] = 7
+			}
+			gemm(make([]float32, mn[0]), 1, 1, make([]float32, mn[1]), c, mn[0], 0, mn[1])
+			sameBits(t, fmt.Sprintf("k=0 %v", mn), c, make([]float32, len(c)))
+		}
+	})
+}
+
+// checkBlockKernel drives one 4×16 block kernel directly with A in both
+// stride layouts (row-major and transposed), B and C wider than the
+// block, and k = 0, against axpyLoop over the matching axpy.
+func checkBlockKernel(t *testing.T, kernel func([]float32, int, int, []float32, int, []float32, int, int),
+	axpyFn func(float32, []float32, []float32)) {
+	r := rand.New(rand.NewSource(16))
+	const ldb, ldc = 21, 19
+	for _, k := range []int{0, 1, 2, 3, 7, 54, 144, 512} {
+		for _, transA := range []bool{false, true} {
+			rs, ks := k, 1
+			if transA {
+				rs, ks = 1, mrTile
+			}
+			a := randZeros(r, mrTile*k)
+			b := randZeros(r, k*ldb)
+			got := make([]float32, mrTile*ldc)
+			want := make([]float32, mrTile*ldc)
+			for i := range got {
+				got[i], want[i] = 5, 5
+			}
+			kernel(a, rs, ks, b, ldb, got, ldc, k)
+			axpyLoop(axpyFn, a, rs, ks, b, ldb, want, ldc, mrTile, k, 16)
+			sameBits(t, fmt.Sprintf("k=%d transA=%v", k, transA), got, want)
+		}
+	}
+}
+
+func TestGemm4x16GenericBitIdentical(t *testing.T) {
+	checkBlockKernel(t, gemm4x16Generic, axpyGeneric)
 }
 
 func TestIm2ColIntoReusesBuffer(t *testing.T) {
@@ -168,4 +247,37 @@ func TestIm2ColIntoReusesBuffer(t *testing.T) {
 		t.Fatal("Im2ColInto reused a mismatched buffer")
 	}
 	compareT(t, "im2col fresh", got2, want, 0)
+}
+
+// BenchmarkMatMulEncoderShapes times the RICC encoder's three GEMMs at a
+// 58-tile batch (one granule's tiles) through MatMulInto and through the
+// axpy-per-row oracle, reporting GFLOP/s. MatMulInto forks over
+// GOMAXPROCS and the oracle does not; compare them with -cpu 1.
+func BenchmarkMatMulEncoderShapes(b *testing.B) {
+	const n = 58
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"conv1", 64 * n, 54, 16},
+		{"conv2", 16 * n, 144, 32},
+		{"dense", n, 512, 32},
+	}
+	for _, s := range shapes {
+		r := rand.New(rand.NewSource(17))
+		a := FromSlice(randZeros(r, s.m*s.k), s.m, s.k)
+		w := randT(r, s.k, s.n)
+		out := New(s.m, s.n)
+		flops := 2 * float64(s.m*s.k*s.n)
+		run := func(name string, fn func()) {
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+		run("kernel", func() { MatMulInto(a, w, out) })
+		run("axpy", func() { axpyLoop(axpy, a.Data, s.k, 1, w.Data, s.n, out.Data, s.n, s.m, s.k, s.n) })
+	}
 }

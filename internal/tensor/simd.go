@@ -1,6 +1,6 @@
 package tensor
 
-// Portable scalar reference implementations of the two SIMD primitives
+// Portable scalar reference implementations of the SIMD primitives
 // behind the blocked matmul kernels. On amd64 with AVX2+FMA the
 // assembly versions in simd_amd64.s are used instead; these generic
 // loops are the fallback and the oracle the asm is tested against.
@@ -10,6 +10,27 @@ func axpyGeneric(alpha float32, x, y []float32) {
 	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += alpha * v
+	}
+}
+
+// gemm4x16Generic is the scalar reference for gemm4x16AVX: each of the
+// 4×16 C elements is accumulated from zero over p ascending with the
+// same skip-zero `+= a * b` step axpyGeneric takes, so on one machine it
+// agrees bit for bit with the axpy-per-row loop it replaces.
+func gemm4x16Generic(a []float32, rs, ks int, b []float32, ldb int, c []float32, ldc, k int) {
+	var acc [4][16]float32
+	for p := 0; p < k; p++ {
+		br := b[p*ldb : p*ldb+16]
+		for r := range acc {
+			if av := a[r*rs+p*ks]; av != 0 {
+				for j, bv := range br {
+					acc[r][j] += av * bv
+				}
+			}
+		}
+	}
+	for r := range acc {
+		copy(c[r*ldc:r*ldc+16], acc[r][:])
 	}
 }
 

@@ -22,6 +22,13 @@ func axpyAVX(alpha float32, x, y []float32)
 //go:noescape
 func dotAVX(x, y []float32) float32
 
+// gemm4x16AVX computes one 4×16 block of C = A·B in ymm accumulators:
+// c[r*ldc+j] = Σ_p a[r*rs+p*ks]·b[p*ldb+j] for r < 4, j < 16, p < k,
+// overwriting c. Strides are in elements. Implemented in simd_amd64.s.
+//
+//go:noescape
+func gemm4x16AVX(a []float32, rs, ks int, b []float32, ldb int, c []float32, ldc, k int)
+
 // dotQ8x4AVX computes four int8 dot products of x against the four
 // consecutive length-len(x) rows packed in w (row stride = len(x)),
 // writing exact int32 sums into out: VPMOVSXBW widens 16 int8 lanes to
@@ -67,6 +74,20 @@ func dot(x, y []float32) float32 {
 		return dotAVX(x, y)
 	}
 	return dotGeneric(x, y)
+}
+
+// gemm4x16 bounds-checks the block's last A, B and C elements once, so
+// the assembly never reads or writes past a slice.
+func gemm4x16(a []float32, rs, ks int, b []float32, ldb int, c []float32, ldc, k int) {
+	if !useSIMD {
+		gemm4x16Generic(a, rs, ks, b, ldb, c, ldc, k)
+		return
+	}
+	if k > 0 {
+		_, _ = a[3*rs+(k-1)*ks], b[(k-1)*ldb+15]
+	}
+	_ = c[3*ldc+15]
+	gemm4x16AVX(a, rs, ks, b, ldb, c, ldc, k)
 }
 
 func dotQ8x4(x, w []int8, out *[4]int32) {

@@ -90,6 +90,73 @@ axpy_done:
 	VZEROUPPER
 	RET
 
+// func gemm4x16AVX(a []float32, rs, ks int, b []float32, ldb int, c []float32, ldc, k int)
+//
+// One 4×16 block of C = A·B: c[r·ldc+j] = Σ_p a[r·rs+p·ks]·b[p·ldb+j]
+// for r < 4, j < 16, overwriting c. The block lives in Y0–Y7 (two ymm
+// per C row) for the whole k loop; each step loads one 16-wide B row
+// into Y8/Y9 and broadcasts the four A values beside it. Every
+// accumulator lane is c = fma(a, b, c) for p ascending from c = 0, the
+// same single-rounding chain axpyAVX runs per C row. k may be 0 (C is
+// zeroed). Strides are in elements; the Go caller bounds-checks them.
+TEXT ·gemm4x16AVX(SB), NOSPLIT, $0-112
+	MOVQ a_base+0(FP), SI
+	MOVQ rs+24(FP), R8
+	MOVQ ks+32(FP), R9
+	MOVQ b_base+40(FP), DI
+	MOVQ ldb+64(FP), R10
+	MOVQ c_base+72(FP), DX
+	MOVQ ldc+96(FP), R11
+	MOVQ k+104(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R12 // 3 A rows, in bytes
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ    g4_store
+g4_loop:
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (SI)(R8*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VBROADCASTSS (SI)(R8*2), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VBROADCASTSS (SI)(R12*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ R9, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  g4_loop
+g4_store:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	ADDQ    R11, DX
+	VMOVUPS Y2, (DX)
+	VMOVUPS Y3, 32(DX)
+	ADDQ    R11, DX
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, 32(DX)
+	ADDQ    R11, DX
+	VMOVUPS Y6, (DX)
+	VMOVUPS Y7, 32(DX)
+	VZEROUPPER
+	RET
+
 // func dotAVX(x, y []float32) float32
 //
 // Inner product over len(x) elements. Caller guarantees
