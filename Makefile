@@ -2,33 +2,24 @@
 #
 #   make check      — what CI runs: gofmt gate + vet + the non-amd64 build
 #                     (cross) + eomlvet + race tests + fuzz-smoke + serve-smoke + fleet-smoke +
-#                     reduced-size bench smokes (bench-ci, bench-e2e) +
+#                     one pass of every kernel benchmark (bench-ci) +
 #                     the granule benchmark's own tests and one-second
 #                     correctness runs of it (local, stream, cold and
 #                     warm fleet)
 #   make lint       — the repo's own analyzer suite (cmd/eomlvet)
-#   make bench      — the hot-path benchmarks, emitted as $(BENCH_OUT)
-#   make bench-diff — compare the committed bench records: fails on >10%
-#                     throughput regression $(BENCH_OLD) → $(BENCH_NEW);
-#                     by hand only, it reruns nothing
 #   make bench-granule — the four-workload granule benchmark declared in
 #                     BENCHMARK.json (benchmarks/README.md), full length;
 #                     this is where performance claims are made
+#
+# The paper's figures and tables render from the discrete-event model
+# with `go run ./cmd/benchtab`; kernel microbenchmarks sit beside their
+# kernels and run with `go test -bench` in that package.
 
 GO ?= go
-BENCHTIME ?= 1s
-BENCHCOUNT ?= 3
-BENCH_OUT ?= BENCH_10.json
-BENCH_OLD ?= BENCH_9.json
-BENCH_NEW ?= BENCH_10.json
-# At least one compared benchmark must match this, so the fleet
-# granules_per_s series cannot silently vanish from the gate.
-BENCH_REQUIRE ?= BenchmarkFleetScaling/(strong|weak)/
-BENCH_PAT := BenchmarkMatMulBlocked|BenchmarkMatMulSmall|BenchmarkEncodeArena|BenchmarkEncodeQ8|BenchmarkLabelFileBatched|BenchmarkTileExtract|BenchmarkPipelineE2E|BenchmarkFleetScaling
 
 FUZZTIME ?= 10s
 
-.PHONY: build test vet cross lint race fmt fuzz-smoke bench bench-ci bench-diff bench-all bench-e2e bench-granule bench-granule-test bench-granule-smoke serve-smoke fleet-smoke check
+.PHONY: build test vet cross lint race fmt fuzz-smoke bench-ci bench-all bench-granule bench-granule-test bench-granule-smoke serve-smoke fleet-smoke check
 
 build:
 	$(GO) build ./...
@@ -75,30 +66,11 @@ fuzz-smoke:
 	$(GO) test ./internal/netcdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzGranuleWire -fuzztime $(FUZZTIME)
 
-# Hot-path benchmarks (kernels, arena, batching, tile throughput),
-# emitted as a machine-readable record via cmd/benchjson. Runs each
-# benchmark $(BENCHCOUNT) times; benchjson keeps the fastest repetition
-# (best-of-N) so shared-host noise does not trip the bench-diff gate.
-# Two steps so a bench failure fails the target (sh pipelines swallow
-# the first exit code).
-bench:
-	$(GO) test -run xxx -bench '$(BENCH_PAT)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . > bench.out.tmp
-	$(GO) run ./cmd/benchjson -pr 10 \
-		-title "Fleet hot path: worker granule prefetch, content-addressed download/result cache, batched lease/result RPCs" \
-		-command "make bench BENCHTIME=$(BENCHTIME) BENCHCOUNT=$(BENCHCOUNT)" < bench.out.tmp > $(BENCH_OUT)
-	@rm -f bench.out.tmp
-	@echo "wrote $(BENCH_OUT)"
-
-# CI smoke at reduced size: one iteration per bench, result discarded.
+# CI smoke of the kernel microbenchmarks: one iteration of every bench
+# in the packages that hold them, numbers discarded — it catches a bench
+# that no longer builds or runs.
 bench-ci:
-	@$(MAKE) --no-print-directory bench BENCHTIME=1x BENCHCOUNT=1 BENCH_OUT=/tmp/eoml-bench-ci.json
-
-# End-to-end pipeline smoke: one short ingest → tile-extract → encode →
-# label → ship run against the synthetic archive, reporting granules/s
-# and tiles/s. Result discarded; this catches wiring breakage, the
-# committed BENCH_N.json records carry the real numbers.
-bench-e2e:
-	$(GO) test -run xxx -bench 'BenchmarkPipelineE2E' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/ricc ./internal/cluster42 ./internal/tile ./internal/hdf ./internal/netcdf ./internal/modis
 
 # Control-plane smoke: boots the run API on a real listener, submits a
 # campaign over HTTP (model artifacts on disk, synthetic archive),
@@ -112,13 +84,6 @@ serve-smoke:
 # end to end against the synthetic archive.
 fleet-smoke:
 	$(GO) test -race -run TestFleetSmoke -count 1 .
-
-# Comparison of the committed records: fails on >10% throughput
-# regression between the two most recent BENCH_N.json files. Not part of
-# check: it reruns no benchmark, so no code change can fail it. -require additionally fails if the
-# fleet scaling series stops being compared (rename/deletion).
-bench-diff:
-	$(GO) run ./cmd/benchdiff -require '$(BENCH_REQUIRE)' $(BENCH_OLD) $(BENCH_NEW)
 
 # The granule benchmark (BENCHMARK.json, benchmarks/README.md): four
 # workloads end to end, results as JSON Lines. Full length (about a
@@ -150,8 +115,8 @@ bench-granule-smoke:
 	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1
 	bash benchmarks/run.sh --workload campaign_fleet_warm --seconds 1 --trace 1
 
-# Every figure/table/ablation benchmark in the repo.
+# Every kernel and ablation benchmark in the repo, at full length.
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-check: fmt vet cross lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-e2e bench-granule-test bench-granule-smoke
+check: fmt vet cross lint race fuzz-smoke serve-smoke fleet-smoke bench-ci bench-granule-test bench-granule-smoke

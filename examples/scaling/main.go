@@ -106,7 +106,7 @@ func main() {
 	perDay := 288.0 / base1
 	fmt.Printf("capacity plan: 1 day of MODIS ≈ %.0f s on 1 worker at this bandwidth; "+
 		"fleet scaling is ~linear while fetch-bound, so N workers divide that by ~N\n", perDay)
-	fmt.Println("(full-scale strong/weak curves over real processes: BENCH_9.json, BenchmarkFleetScaling)")
+	fmt.Println("(the paper-scale strong/weak curves, Figs. 4-5, on the discrete-event model: go run ./cmd/benchtab fig4, fig5)")
 }
 
 // runFleet executes the campaign with distribution:fleet against n

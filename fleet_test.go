@@ -1,13 +1,7 @@
-// Multi-process worker-fleet smoke and scaling benchmarks: real
-// eoml-worker processes (this test binary re-exec'd in worker mode)
-// registering over HTTP with an in-process coordinator, leasing tile
-// extraction and inference against a synthetic LAADS archive.
-//
-// The archive shapes per-connection bandwidth so granule fetch latency
-// — not this host's single CPU — bounds throughput; that is what makes
-// strong/weak scaling measurable with worker processes on one machine,
-// mirroring the paper's multi-facility setup where workers pull data
-// near their own compute.
+// Multi-process worker-fleet smoke: real eoml-worker processes (this
+// test binary re-exec'd in worker mode) registering over HTTP with an
+// in-process coordinator, leasing granule tasks against a synthetic
+// LAADS archive.
 package eoml_test
 
 import (
@@ -88,15 +82,9 @@ type workerOpts struct {
 	cacheDir string
 }
 
-// startWorkerProcs re-execs this binary n times in worker mode against
-// the coordinator URL (prefetch on, cache off — the default fleet
-// configuration) and waits until every worker reports ready.
-func startWorkerProcs(tb testing.TB, coordURL string, n, slots int) []workerProc {
-	return startWorkerProcsOpts(tb, coordURL, n, slots, workerOpts{prefetch: 4})
-}
-
-// startWorkerProcsOpts is startWorkerProcs with explicit prefetch/cache
-// settings for the benchmark variants.
+// startWorkerProcsOpts re-execs this binary n times in worker mode
+// against the coordinator URL, with opts' prefetch and cache settings,
+// and waits until every worker reports ready.
 func startWorkerProcsOpts(tb testing.TB, coordURL string, n, slots int, opts workerOpts) []workerProc {
 	tb.Helper()
 	procs := make([]workerProc, 0, n)
@@ -351,144 +339,4 @@ func TestFleetSmoke(t *testing.T) {
 	if rep2.FilesDownloaded != 0 || rep2.BytesDownloaded != 0 {
 		t.Fatalf("warm pass reports files=%d bytes=%d downloaded, want 0 0", rep2.FilesDownloaded, rep2.BytesDownloaded)
 	}
-}
-
-// BenchmarkFleetScaling measures whole-pipeline granules/s against
-// 1/2/4/8 real worker processes. Strong scaling holds the granule set
-// fixed; weak scaling grows it proportionally (2 granules per worker).
-// The archive throttles each connection to 256 KiB/s, so fetch latency
-// dominates and adding worker processes adds real throughput even on a
-// single-CPU host — the regime the paper's multi-facility runs live in.
-func BenchmarkFleetScaling(b *testing.B) {
-	const token = "bench-token"
-	srv, err := laads.NewServer(laads.ServerConfig{
-		ScaleDown:          64,
-		Token:              token,
-		PerConnBytesPerSec: 256 << 10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	archive := httptest.NewServer(srv)
-	defer archive.Close()
-
-	granules := fleetDayGranules(b, 16)
-	model, codebook := fleetTrainArtifacts(b, granules[0])
-
-	// One timed run over set; returns granules processed.
-	runOnce := func(b *testing.B, eng *core.Engine, set []int) int64 {
-		b.Helper()
-		b.StopTimer()
-		cfg := fleetRunConfig(b, archive.URL, token, set, model, codebook)
-		run, err := eng.NewRun(cfg, core.RunOptions{ID: "bench"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		rep, err := run.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.GranulesRequested != len(set) {
-			b.Fatalf("processed %d of %d granules", rep.GranulesRequested, len(set))
-		}
-		return int64(rep.GranulesRequested)
-	}
-
-	// Headline strong/weak series: prefetch on, cache off — directly
-	// comparable against the BENCH_9 series of the same names, which
-	// ran without prefetching.
-	for _, mode := range []string{"strong", "weak"} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			set := granules[:8] // strong: fixed work
-			if mode == "weak" {
-				set = granules[:2*workers] // weak: work ∝ fleet size
-			}
-			set, workers := set, workers
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				coord := fleet.NewCoordinator(fleet.Config{})
-				defer coord.Close()
-				cp := httptest.NewServer(coord.Handler())
-				defer cp.Close()
-				procs := startWorkerProcs(b, cp.URL, workers, 1)
-				defer stopWorkerProcs(b, procs)
-				eng := core.NewEngine(core.EngineOptions{Fleet: coord})
-
-				var nGranules int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					nGranules += runOnce(b, eng, set)
-				}
-				b.ReportMetric(float64(nGranules)/b.Elapsed().Seconds(), "granules/s")
-			})
-		}
-	}
-
-	// Ablation: the same workload with the prefetch pipeline disabled,
-	// isolating its contribution from batching's.
-	b.Run("prefetchoff/workers=1", func(b *testing.B) {
-		coord := fleet.NewCoordinator(fleet.Config{})
-		defer coord.Close()
-		cp := httptest.NewServer(coord.Handler())
-		defer cp.Close()
-		procs := startWorkerProcsOpts(b, cp.URL, 1, 1, workerOpts{})
-		defer stopWorkerProcs(b, procs)
-		eng := core.NewEngine(core.EngineOptions{Fleet: coord})
-
-		var nGranules int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nGranules += runOnce(b, eng, granules[:8])
-		}
-		b.ReportMetric(float64(nGranules)/b.Elapsed().Seconds(), "granules/s")
-	})
-
-	// Cold cache: the download cache is on but starts empty every
-	// iteration (fresh directory, restarted worker), measuring the
-	// cache's ingest overhead on first contact.
-	b.Run("coldcache/workers=1", func(b *testing.B) {
-		coord := fleet.NewCoordinator(fleet.Config{})
-		defer coord.Close()
-		cp := httptest.NewServer(coord.Handler())
-		defer cp.Close()
-		eng := core.NewEngine(core.EngineOptions{Fleet: coord})
-
-		var nGranules int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			procs := startWorkerProcsOpts(b, cp.URL, 1, 1, workerOpts{prefetch: 4, cacheDir: b.TempDir()})
-			nGranules += runOnce(b, eng, granules[:8])
-			b.StopTimer()
-			stopWorkerProcs(b, procs)
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(nGranules)/b.Elapsed().Seconds(), "granules/s")
-	})
-
-	// Warm cache: one un-timed pass fills the cache, then every timed
-	// run is served from disk — and the archive must see zero traffic
-	// while the timer runs.
-	b.Run("warmcache/workers=1", func(b *testing.B) {
-		coord := fleet.NewCoordinator(fleet.Config{})
-		defer coord.Close()
-		cp := httptest.NewServer(coord.Handler())
-		defer cp.Close()
-		procs := startWorkerProcsOpts(b, cp.URL, 1, 1, workerOpts{prefetch: 4, cacheDir: b.TempDir()})
-		defer stopWorkerProcs(b, procs)
-		eng := core.NewEngine(core.EngineOptions{Fleet: coord})
-
-		runOnce(b, eng, granules[:8]) // warm the cache, un-timed
-		_, bytesBefore := srv.Stats()
-		var nGranules int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nGranules += runOnce(b, eng, granules[:8])
-		}
-		b.StopTimer()
-		if _, bytesAfter := srv.Stats(); bytesAfter != bytesBefore {
-			b.Fatalf("warm-cache runs fetched %d archive bytes, want 0", bytesAfter-bytesBefore)
-		}
-		b.ReportMetric(float64(nGranules)/b.Elapsed().Seconds(), "granules/s")
-	})
 }

@@ -60,7 +60,7 @@ func Train(tiles []*tile.Tile, cfg ricc.Config, k int) (*Labeler, *cluster42.Res
 	if _, err := m.Train(tiles); err != nil {
 		return nil, nil, err
 	}
-	latents, err := m.Encode(tiles)
+	latents, err := m.EncodeBatch(tiles)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,7 @@
 // Inference-only forward passes.
 //
-// Infer and InferBatch differ from Forward in two ways that matter for
-// the serving path:
+// Infer and InferBatchQ8 differ from Forward in two ways that matter
+// for the serving path:
 //
 //   - No state is saved for Backward, so one model can serve concurrent
 //     calls as long as each caller brings its own arena (a shard from
@@ -10,13 +10,13 @@
 //     steady-state inference recycles memory instead of regrowing the
 //     heap every batch.
 //
-// Infer and InferBatch are one path: each convolution materializes the
-// im2col matrix in arena scratch and runs ONE blocked SIMD GEMM for the
-// whole batch — the same kernel schedule as Forward, minus its
-// allocations, so the results are bit-identical to Forward's.
-// InferBatchQ8 is the int8 variant.
+// Infer is the float path: each convolution materializes the im2col
+// matrix in arena scratch and runs ONE blocked SIMD GEMM for the whole
+// batch — the same kernel schedule as Forward, minus its allocations,
+// so the results are bit-identical to Forward's. InferBatchQ8 is the
+// int8 variant.
 //
-// Buffer ownership: a layer's Infer/InferBatch may return an
+// Buffer ownership: a layer's Infer/InferBatchQ8 may return an
 // arena-owned tensor or a view of its input (reshapes). The Sequential
 // drivers recycle each intermediate back into the arena once the
 // next layer has consumed it, except when the next output aliases it.
@@ -76,10 +76,6 @@ func (l *Conv2D) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	return out
 }
 
-// InferBatch is Infer: the im2col GEMM is the fast path at every batch
-// size.
-func (l *Conv2D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
-
 // invalidateQuant drops the cached int8 weights; Forward calls it so
 // the next Q8 inference requantizes post-training-step weights.
 func (l *Conv2D) invalidateQuant() {
@@ -99,13 +95,13 @@ func (l *Conv2D) quantWeights() *tensor.QWeights {
 	return l.qw
 }
 
-// InferBatchQ8 is InferBatch with the GEMM in symmetric int8: the input
+// InferBatchQ8 is Infer with the GEMM in symmetric int8: the input
 // tensor is quantized once per call (cheaper than quantizing the
 // K²-times-larger column matrix, and bit-identical to it — symmetric
 // quantization maps the zero padding to int8 zero), the bytes are
 // gathered into an int8 column matrix, and one int8×int8→int32 GEMM
 // rescales directly into the float product. Bias addition and the NCHW
-// epilogue stay in float32, identical to InferBatch.
+// epilogue stay in float32, identical to Infer.
 func (l *Conv2D) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	g := l.geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
@@ -153,9 +149,6 @@ func (l *Dense) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	}
 	return out
 }
-
-// InferBatch is Infer: a dense layer is already one batch-wide GEMM.
-func (l *Dense) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // invalidateQuant drops the cached int8 weights (see Conv2D).
 func (l *Dense) invalidateQuant() {
@@ -210,9 +203,6 @@ func (l *LeakyReLU) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	return out
 }
 
-// InferBatch is Infer: the activation is elementwise either way.
-func (l *LeakyReLU) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
-
 // InferBatchQ8 is Infer: activations stay in float32; only GEMM layers
 // quantize.
 func (l *LeakyReLU) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
@@ -226,9 +216,6 @@ func (l *Sigmoid) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	return out
 }
 
-// InferBatch is Infer: the activation is elementwise either way.
-func (l *Sigmoid) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
-
 // InferBatchQ8 is Infer: activations stay in float32.
 func (l *Sigmoid) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
@@ -237,9 +224,6 @@ func (l *Flatten) Infer(x *tensor.T, _ *tensor.LocalArena) *tensor.T {
 	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
 }
 
-// InferBatch is Infer: reshapes are free at any batch size.
-func (l *Flatten) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
-
 // InferBatchQ8 is Infer: reshapes carry no arithmetic to quantize.
 func (l *Flatten) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
@@ -247,9 +231,6 @@ func (l *Flatten) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { re
 func (l *Reshape4D) Infer(x *tensor.T, _ *tensor.LocalArena) *tensor.T {
 	return x.Reshape(x.Shape[0], l.c, l.h, l.w)
 }
-
-// InferBatch is Infer: reshapes are free at any batch size.
-func (l *Reshape4D) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: reshapes carry no arithmetic to quantize.
 func (l *Reshape4D) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
@@ -260,9 +241,6 @@ func (l *Upsample2x) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	tensor.Upsample2xInto(x, out)
 	return out
 }
-
-// InferBatch is Infer: the copy pattern is batch-size agnostic.
-func (l *Upsample2x) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
 
 // InferBatchQ8 is Infer: nearest-neighbor copies carry no arithmetic.
 func (l *Upsample2x) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) }
@@ -283,22 +261,15 @@ func (s *Sequential) run(x *tensor.T, a *tensor.LocalArena, step func(Layer, *te
 	return cur
 }
 
-// Infer runs all layers through their Infer kernels, the same
-// batch-GEMM path as InferBatch. The returned tensor is arena-owned; the
-// caller copies out what it keeps and Puts it back.
+// Infer runs all layers through their Infer kernels: one blocked
+// matmul per layer for the whole batch. The returned tensor is
+// arena-owned; the caller copies out what it keeps and Puts it back.
 func (s *Sequential) Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T {
 	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.Infer(x, a) })
 }
 
-// InferBatch runs all layers through the batch-GEMM kernels: one
-// blocked matmul per layer for the whole batch. Same ownership contract
-// as Infer.
-func (s *Sequential) InferBatch(x *tensor.T, a *tensor.LocalArena) *tensor.T {
-	return s.run(x, a, func(l Layer, x *tensor.T, a *tensor.LocalArena) *tensor.T { return l.InferBatch(x, a) })
-}
-
 // InferBatchQ8 runs all layers through the symmetric int8 GEMM kernels;
-// InferBatch is its accuracy oracle (ricc pins the divergence with a
+// Infer is its accuracy oracle (ricc pins the divergence with a
 // cosine-similarity floor and a label-flip gate). Same ownership
 // contract as Infer.
 func (s *Sequential) InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T {

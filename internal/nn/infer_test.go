@@ -130,13 +130,13 @@ func TestInferBatchMatchesForward(t *testing.T) {
 		shards := tensor.NewShardedArena()
 		arena := shards.Acquire()
 		for pass := 0; pass < 3; pass++ { // repeated passes hit recycled buffers
-			got := model.InferBatch(x, arena)
+			got := model.Infer(x, arena)
 			if !got.SameShape(want) {
 				t.Fatalf("n=%d pass %d: shape %v, want %v", n, pass, got.Shape, want.Shape)
 			}
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("n=%d pass %d: InferBatch[%d]=%g, Forward=%g (want bit-identical)",
+					t.Fatalf("n=%d pass %d: Infer[%d]=%g, Forward=%g (want bit-identical)",
 						n, pass, i, got.Data[i], want.Data[i])
 				}
 			}
@@ -172,7 +172,7 @@ func TestInferBatchQ8CloseToFloat(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(r.Float64())
 	}
-	want := model.InferBatch(x, nil)
+	want := model.Infer(x, nil)
 	shards := tensor.NewShardedArena()
 	arena := shards.Acquire()
 	defer shards.Release(arena)
@@ -247,7 +247,7 @@ func TestInferBatchNilAllocator(t *testing.T) {
 		x.Data[i] = float32(r.Float64())
 	}
 	want := model.Forward(x)
-	got := model.InferBatch(x, nil)
+	got := model.Infer(x, nil)
 	if d := inferDiff(got, want); d != 0 {
 		t.Fatalf("worst relative diff %g, want bit-identical", d)
 	}

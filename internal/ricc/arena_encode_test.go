@@ -22,7 +22,7 @@ func TestEncodeMatchesNoArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Encode(tiles)
+	got, err := m.EncodeBatch(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEncodeMatchesNoArena(t *testing.T) {
 }
 
 // TestEncodeArenaConcurrent proves arena buffers never alias across
-// concurrent Encode calls: every concurrent result must be bit-identical
+// concurrent EncodeBatch calls: every concurrent result must be bit-identical
 // to the sequential one, across repeated iterations that maximally churn
 // the pools.
 func TestEncodeArenaConcurrent(t *testing.T) {
@@ -54,7 +54,7 @@ func TestEncodeArenaConcurrent(t *testing.T) {
 	if _, err := m.Train(tiles[:64]); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := m.Encode(tiles)
+	ref, err := m.EncodeBatch(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,13 @@ func TestEncodeArenaConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 10; iter++ {
-				got, err := m.Encode(tiles)
+				got, err := m.EncodeBatch(tiles)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !reflect.DeepEqual(got, ref) {
-					t.Error("concurrent Encode diverged from sequential result")
+					t.Error("concurrent EncodeBatch diverged from sequential result")
 					return
 				}
 			}

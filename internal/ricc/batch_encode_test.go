@@ -40,7 +40,7 @@ func TestEncodeBatchMatchesPerTile(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range tiles {
-			single, err := m.Encode(tiles[i : i+1])
+			single, err := m.EncodeBatch(tiles[i : i+1])
 			if err != nil {
 				t.Fatal(err)
 			}

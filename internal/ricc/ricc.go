@@ -71,7 +71,7 @@ type Model struct {
 	encoder *nn.Sequential
 	decoder *nn.Sequential
 	// shards recycles input, scratch, and activation buffers across
-	// inference calls: each Encode/Reconstruct call checks a private
+	// inference calls: each EncodeBatch/Reconstruct call checks a private
 	// LocalArena out for its duration, so concurrent calls never contend
 	// on the per-tensor fast path and steady-state serving stops
 	// regrowing the heap.
@@ -341,7 +341,7 @@ func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
 }
 
 // EncodeBatch maps tiles to latent vectors using the trained model: the
-// whole batch goes through one blocked GEMM per layer (nn.InferBatch),
+// whole batch goes through one blocked GEMM per layer (nn.Infer),
 // with input packing, the im2col matrix, and activations all recycled
 // through a LocalArena shard checked out for the duration of the call.
 // Concurrent calls each get their own shard, so the per-tensor fast
@@ -350,7 +350,7 @@ func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
 func (m *Model) EncodeBatch(tiles []*tile.Tile) ([][]float32, error) {
 	shard := m.shards.Acquire()
 	defer m.shards.Release(shard)
-	return m.encodeWith(tiles, shard, m.encoder.InferBatch)
+	return m.encodeWith(tiles, shard, m.encoder.Infer)
 }
 
 // EncodeBatchQ8 is EncodeBatch through the symmetric int8 inference
@@ -365,14 +365,7 @@ func (m *Model) EncodeBatchQ8(tiles []*tile.Tile) ([][]float32, error) {
 	return m.encodeWith(tiles, shard, m.encoder.InferBatchQ8)
 }
 
-// Encode is EncodeBatch: the batch-GEMM sharded-arena path is the fast
-// path at every batch size (BENCH_5 measures N=1 through N=512), so
-// there is no separate small-batch entry point.
-func (m *Model) Encode(tiles []*tile.Tile) ([][]float32, error) {
-	return m.EncodeBatch(tiles)
-}
-
-// EncodeNoArena is the reference implementation of Encode with no
+// EncodeNoArena is the reference implementation of EncodeBatch with no
 // buffer reuse: the stateful Forward path plus one fresh row copy per
 // tile. It is the oracle the arena path is tested against and the
 // baseline BenchmarkEncodeArena measures allocation savings from.
@@ -413,8 +406,8 @@ func (m *Model) Reconstruct(tiles []*tile.Tile) (*tensor.T, error) {
 	}
 	a := m.shards.Acquire()
 	defer m.shards.Release(a)
-	z := m.encoder.InferBatch(x, a)
-	y := m.decoder.InferBatch(z, a)
+	z := m.encoder.Infer(x, a)
+	y := m.decoder.Infer(z, a)
 	a.Put(z)
 	out := y.Clone() // hand the caller its own buffer, recycle the arena's
 	a.Put(y)
@@ -435,12 +428,12 @@ func (m *Model) InvarianceError(tiles []*tile.Tile) (float64, error) {
 	}
 	a := m.shards.Acquire()
 	defer m.shards.Release(a)
-	z := m.encoder.InferBatch(x, a)
+	z := m.encoder.Infer(x, a)
 	n, d := z.Shape[0], z.Shape[1]
 	var total float64
 	count := 0
 	for r := 1; r <= 3; r++ {
-		zr := m.encoder.InferBatch(tensor.Rot90(x, r), a)
+		zr := m.encoder.Infer(tensor.Rot90(x, r), a)
 		for i := 0; i < n; i++ {
 			var diff, norm float64
 			for j := 0; j < d; j++ {

@@ -144,11 +144,11 @@ func TestEncodeShapeAndDeterminism(t *testing.T) {
 	if _, err := m.Train(tiles); err != nil {
 		t.Fatal(err)
 	}
-	z1, err := m.Encode(tiles)
+	z1, err := m.EncodeBatch(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z2, err := m.Encode(tiles)
+	z2, err := m.EncodeBatch(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEncodeRequiresTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Encode(syntheticTiles(2, 8, 3, 5)); err == nil {
+	if _, err := m.EncodeBatch(syntheticTiles(2, 8, 3, 5)); err == nil {
 		t.Fatal("untrained encode accepted")
 	}
 	if _, err := m.InvarianceError(syntheticTiles(2, 8, 3, 5)); err == nil {
@@ -228,11 +228,11 @@ func TestSaveLoadModelRoundTrip(t *testing.T) {
 	if m2.Cfg.TileSize != cfg.TileSize || m2.Cfg.LatentDim != cfg.LatentDim {
 		t.Fatalf("config lost: %+v", m2.Cfg)
 	}
-	z1, err := m.Encode(tiles[:8])
+	z1, err := m.EncodeBatch(tiles[:8])
 	if err != nil {
 		t.Fatal(err)
 	}
-	z2, err := m2.Encode(tiles[:8])
+	z2, err := m2.EncodeBatch(tiles[:8])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,17 @@
 //
 // Finality matters because the paper notes HDF read errors from partially
 // written files. By default a file is final once its size has held still:
-// across two caller-paced scans (ScanOnce) or, under Run — where Poke can
-// put scans microseconds apart — for at least Interval, so a file growing
-// in place is never triggered early. A directory whose writers all
-// publish by temp-file + rename (every tile writer in this repository
-// does) declares it with Config.RenamePublished; a matching name there
-// only ever appears complete, so it triggers at first sighting.
+// across two caller-paced scans (ScanOnce) or, under Run, for at least
+// Interval, so a file growing in place is never triggered early. A
+// directory whose writers all publish by temp-file + rename (every tile
+// writer in this repository does) declares it with
+// Config.RenamePublished; a matching name there only ever appears
+// complete, so it triggers at first sighting.
 //
-// Run scans when Poked and on a fallback tick. In-process producers poke
-// as each file lands, so a ready file never waits out a tick; the tick
-// covers writers that cannot poke (other processes).
+// Run scans on a tick of Interval; a caller that needs a scan sooner
+// (a last pass before shutdown, say) calls ScanOnce. The crawler is for
+// files other processes write: an in-process producer hands its files
+// on directly.
 package watch
 
 import (
@@ -33,8 +34,8 @@ type Config struct {
 	Dir string
 	// Pattern filters file names with filepath.Match; empty matches all.
 	Pattern string
-	// Interval is the fallback poll period, and how long a file's size
-	// must hold under Run before the default rule calls it final.
+	// Interval is Run's poll period, and how long a file's size must
+	// hold under Run before the default rule calls it final.
 	Interval time.Duration
 	// RenamePublished declares that every writer into Dir publishes by
 	// rename: it writes under a name IgnoreSuffixes or Pattern excludes
@@ -74,13 +75,11 @@ type sighting struct {
 
 // Crawler scans a directory tree and emits each final file once.
 type Crawler struct {
-	cfg  Config
-	poke chan struct{} // capacity 1: at most one scan request pending
+	cfg Config
 
 	mu        sync.Mutex
 	seen      map[string]sighting
 	triggered map[string]bool
-	scans     int
 }
 
 // NewCrawler builds a crawler.
@@ -90,28 +89,9 @@ func NewCrawler(cfg Config) (*Crawler, error) {
 	}
 	return &Crawler{
 		cfg:       cfg,
-		poke:      make(chan struct{}, 1),
 		seen:      map[string]sighting{},
 		triggered: map[string]bool{},
 	}, nil
-}
-
-// Scans reports how many scans have run.
-func (c *Crawler) Scans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.scans
-}
-
-// Poke asks Run to scan now instead of at the next tick. It never
-// blocks; pokes that arrive before Run gets to them coalesce into one
-// scan, which starts after the last of them and so sees what each
-// announced.
-func (c *Crawler) Poke() {
-	select {
-	case c.poke <- struct{}{}:
-	default:
-	}
 }
 
 // ScanOnce walks the tree and returns files that are new since the
@@ -166,7 +146,6 @@ func (c *Crawler) scan(hold time.Duration) ([]Event, error) {
 	ended := time.Now() // no earlier than any size read above
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scans++
 	var events []Event
 	for _, f := range found {
 		if c.triggered[f.path] {
@@ -190,7 +169,7 @@ func (c *Crawler) scan(hold time.Duration) ([]Event, error) {
 	return events, nil
 }
 
-// Run scans on every Poke and every Interval until ctx is cancelled,
+// Run scans every Interval until ctx is cancelled,
 // invoking trigger for every batch of newly final files. Trigger errors
 // stop the crawler and are returned.
 func (c *Crawler) Run(ctx context.Context, trigger func(events []Event) error) error {
@@ -201,7 +180,6 @@ func (c *Crawler) Run(ctx context.Context, trigger func(events []Event) error) e
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-ticker.C:
-		case <-c.poke:
 		}
 		events, err := c.scan(c.cfg.Interval)
 		if err != nil {
@@ -212,41 +190,9 @@ func (c *Crawler) Run(ctx context.Context, trigger func(events []Event) error) e
 				return err
 			}
 		}
-		// The fallback period restarts at the end of each scan, so two
-		// tick-paced scans are a full Interval apart and an un-poked
-		// file still triggers on the second tick that sees it.
+		// The period restarts at the end of each scan, so two scans are
+		// a full Interval apart and a file triggers on the second tick
+		// that sees it at its final size.
 		ticker.Reset(c.cfg.Interval)
 	}
-}
-
-// DrainUntilIdle polls until idleScans consecutive scans produce no new
-// events (or ctx is cancelled), collecting everything triggered. It is
-// the synchronous variant used when downloads are known to be finished.
-func (c *Crawler) DrainUntilIdle(ctx context.Context, idleScans int) ([]Event, error) {
-	if idleScans <= 0 {
-		idleScans = 2
-	}
-	var all []Event
-	idle := 0
-	for idle < idleScans {
-		if ctx.Err() != nil {
-			return all, ctx.Err()
-		}
-		events, err := c.ScanOnce()
-		if err != nil {
-			return all, err
-		}
-		if len(events) == 0 {
-			idle++
-		} else {
-			idle = 0
-			all = append(all, events...)
-		}
-		select {
-		case <-ctx.Done():
-			return all, ctx.Err()
-		case <-time.After(c.cfg.Interval):
-		}
-	}
-	return all, nil
 }

@@ -139,20 +139,6 @@ func TestRunTriggersCallback(t *testing.T) {
 	}
 }
 
-func TestDrainUntilIdle(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := NewCrawler(Config{Dir: dir, Interval: time.Millisecond})
-	write(t, dir, "a.nc", 1)
-	write(t, dir, "b.nc", 2)
-	events, err := c.DrainUntilIdle(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("drained %v", events)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewCrawler(Config{}); err == nil {
 		t.Fatal("empty dir accepted")
@@ -181,8 +167,8 @@ func publish(t *testing.T, dir, name string, size int) {
 }
 
 // TestRenamePublishedTriggersAtFirstSighting: in a rename-published
-// directory one scan is enough, and a hammer of concurrent pokes, ticks
-// and direct scans still triggers every file exactly once.
+// directory one scan is enough, and a hammer of ticks and concurrent
+// direct scans still triggers every file exactly once.
 func TestRenamePublishedTriggersAtFirstSighting(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCrawler(Config{Dir: dir, Pattern: "*.nc", RenamePublished: true, Interval: time.Millisecond})
@@ -213,23 +199,19 @@ func TestRenamePublishedTriggersAtFirstSighting(t *testing.T) {
 		defer wg.Done()
 		_ = c.Run(ctx, record)
 	}()
-	for h := 0; h < 4; h++ {
+	for h := 0; h < 2; h++ { // direct scanners racing Run's ticks
 		wg.Add(1)
-		go func(h int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				c.Poke()
-				if h == 0 { // a second scanner racing Run's
-					if ev, err := c.ScanOnce(); err == nil {
-						_ = record(ev)
-					}
+				if ev, err := c.ScanOnce(); err == nil {
+					_ = record(ev)
 				}
 			}
-		}(h)
+		}()
 	}
 	for i := 0; i < files; i++ {
 		publish(t, dir, fmt.Sprintf("f%02d.nc", i), 5)
-		c.Poke()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -253,73 +235,42 @@ func TestRenamePublishedTriggersAtFirstSighting(t *testing.T) {
 	}
 }
 
-// TestPokedScansHoldForInterval is the partial-file hazard under Poke:
-// back-to-back poked scans see a file grow and then hold its size, and
-// the default rule still waits until the size has held for Interval.
+// TestPokedScansHoldForInterval is the partial-file hazard under Run:
+// tick-paced scans see a file grow in steps shorter than Interval, and
+// the default rule still waits until its final size has held for
+// Interval before it triggers the file, once, at that size.
 func TestPokedScansHoldForInterval(t *testing.T) {
-	const interval = 300 * time.Millisecond
+	const interval = 100 * time.Millisecond
 	dir := t.TempDir()
 	c, _ := NewCrawler(Config{Dir: dir, Interval: interval})
-	triggered := make(chan time.Time, 1)
+	triggered := make(chan Event, 2)
+	at := make(chan time.Time, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go c.Run(ctx, func([]Event) error {
-		triggered <- time.Now()
+	go c.Run(ctx, func(evs []Event) error {
+		now := time.Now()
+		for _, e := range evs {
+			triggered <- e
+			at <- now
+		}
 		return nil
 	})
-	pokeAndWait := func() {
-		t.Helper()
-		before := c.Scans()
-		c.Poke()
-		for deadline := time.Now().Add(5 * time.Second); c.Scans() == before; time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("poke did not cause a scan")
-			}
-		}
+	const steps = 6
+	var grown time.Time
+	for i := 1; i <= steps; i++ { // grows across several ticks
+		write(t, dir, "grow.nc", 10*i)
+		grown = time.Now()
+		time.Sleep(interval * 3 / 5)
 	}
-	write(t, dir, "grow.nc", 10)
-	pokeAndWait()
-	write(t, dir, "grow.nc", 20) // grew between two back-to-back scans
-	grown := time.Now()
-	pokeAndWait()
-	pokeAndWait() // same size twice in a row — the old rule fired here
-	pokeAndWait()
 	select {
-	case at := <-triggered: // stamped by the callback, so an early trigger shows
-		if held := at.Sub(grown); held < interval {
+	case e := <-triggered: // stamped by the callback, so an early trigger shows
+		if held := (<-at).Sub(grown); held < interval {
 			t.Fatalf("triggered %v after the file last grew, want at least %v", held, interval)
 		}
-	case <-time.After(10 * interval):
+		if e.Size != 10*steps {
+			t.Fatalf("triggered at size %d, want the final %d", e.Size, 10*steps)
+		}
+	case <-time.After(50 * interval):
 		t.Fatal("stable file never triggered")
-	}
-}
-
-// TestPokeNeverBlocksAndCoalesces: with nobody receiving, a thousand
-// pokes return at once and leave one scan pending, not a thousand.
-func TestPokeNeverBlocksAndCoalesces(t *testing.T) {
-	c, _ := NewCrawler(Config{Dir: t.TempDir(), Interval: time.Hour})
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			c.Poke()
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Poke blocked with no Run receiving")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go c.Run(ctx, func([]Event) error { return nil })
-	for deadline := time.Now().Add(5 * time.Second); c.Scans() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("pending poke never scanned")
-		}
-	}
-	time.Sleep(50 * time.Millisecond) // room for the scans that must not happen
-	if n := c.Scans(); n != 1 {
-		t.Fatalf("1000 pokes caused %d scans, want 1", n)
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // The Reproduce* functions regenerate the paper's tables and figures on
 // the calibrated discrete-event simulator and return the rendered text.
-// cmd/benchtab wraps them as a CLI; bench_test.go wraps them as
-// testing.B benchmarks.
+// cmd/benchtab wraps them as a CLI; TestReproduceFunctionsRender checks
+// that each one renders.
 
 // ReproduceFig3 regenerates the download-speed curves (3 vs 6 workers
 // across product sizes).
