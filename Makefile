@@ -56,8 +56,9 @@ race:
 
 # Short fuzzing pass over the parsers that consume untrusted bytes: the
 # yamlite config parser, the HDF granule decoder, the NetCDF tile-file
-# decoder and the fleet wire (a worker's /run body, granule and
-# label-file references and results). $(FUZZTIME) per target; any crasher found
+# decoder, the fleet wire (a worker's /run body, granule and
+# label-file references and results) and tile extraction, which indexes
+# decoded datasets' raw bytes. $(FUZZTIME) per target; any crasher found
 # lands in testdata/fuzz/ and from then on runs as a plain regression
 # test under `go test`.
 fuzz-smoke:
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/hdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netcdf -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzGranuleWire -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tile -run '^$$' -fuzz FuzzExtract -fuzztime $(FUZZTIME)
 
 # CI smoke of the kernel microbenchmarks: one iteration of every bench
 # in the packages that hold them, numbers discarded — it catches a bench

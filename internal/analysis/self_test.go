@@ -83,7 +83,8 @@ func TestRunModuleCoversAllPackages(t *testing.T) {
 // is a place the design fights its own lint, so the set only changes on
 // purpose: a new directive is a reviewed decision recorded here and in
 // DESIGN.md §14, and a redesign that removes the need for one (PR 13's
-// batch combiner retired the two in internal/aicca/batch.go) deletes it
+// batch combiner retired the two in internal/aicca/batch.go, and the
+// per-tile extract retired internal/tile's arena parking) deletes it
 // from this table too.
 func TestLiveIgnoreDirectives(t *testing.T) {
 	if testing.Short() {
@@ -91,7 +92,6 @@ func TestLiveIgnoreDirectives(t *testing.T) {
 	}
 	root, loader, pkgs := loadModule(t)
 	want := map[string]int{
-		"internal/tile/tile.go":         1, // arenapair: ownership parked in s.bufs
 		"internal/transfer/transfer.go": 1, // ctxflow: fire-and-forget Submit
 	}
 	got := map[string]int{}

@@ -100,7 +100,6 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 		}
 		r.fleet = e.fleet
 	}
-	e.kernels.Arena().Instrument(r.metrics, "tile")
 	labeler.Model.Arena().Instrument(r.metrics, "ricc")
 	return r, nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/eoml/eoml/internal/bufpool"
 	"github.com/eoml/eoml/internal/hdf"
 )
 
@@ -200,29 +201,54 @@ func (c *DownloadCache) SizeBytes() int64 {
 // Fetch is FetchFile with the decoded file dropped: its miss reads the
 // filled file once for the decode, so the file must be HDF-lite.
 func (c *DownloadCache) Fetch(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, error)) (string, bool, error) {
-	path, _, hit, err := c.FetchFile(ctx, key, destDir, func(ctx context.Context) (string, []byte, error) {
+	path, in, hit, err := c.FetchFile(ctx, key, destDir, func(ctx context.Context) (string, []byte, error) {
 		p, err := fill(ctx)
 		if err != nil {
 			return "", nil, err
 		}
-		data, err := os.ReadFile(p)
+		data, err := bufpool.ReadFile(p)
 		return p, data, err
 	})
+	in.Release()
 	return path, hit, err
 }
 
+// Input is one granule input decoded from a buffer of the read pool
+// (package bufpool): File's datasets alias that buffer. Release hands
+// the buffer back, so call it only once nothing reads File. The zero
+// Input holds nothing, and releasing it does nothing.
+type Input struct {
+	File *hdf.File
+	buf  []byte
+}
+
+// Release hands the input's buffer back to the read pool and clears the
+// input, so a second Release does nothing.
+func (in *Input) Release() {
+	if in.buf != nil {
+		releaseBuffer(in.buf)
+	}
+	*in = Input{}
+}
+
+// releaseBuffer returns a released input's buffer to the read pool.
+var releaseBuffer = bufpool.Put
+
 // FetchFile is Fetch for a caller that reads the file next, and returns
 // it decoded. Its fill returns the bytes it wrote to the path along with
-// the path. The decode is the cache's integrity check: its CRC covers
-// every byte. On a miss the call decodes the fill's bytes before it
-// ingests them; bytes that fail are neither cached nor left at the path,
-// where the next fetch would take them for the file, and the call fails.
-// On a hit it reads the entry once and decodes that buffer before it
-// links the entry into destDir, so the file returned is decoded from the
-// very bytes that passed; an entry that fails is evicted and refetched.
-// The returned file is nil when the call waited on another caller's fill
-// of the same destination; the file is then on disk at the returned path.
-func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, []byte, error)) (string, *hdf.File, bool, error) {
+// the path, and hands those bytes over: they become the returned
+// input's buffer, or go back to the read pool at once if they fail. The
+// decode is the cache's integrity check: its CRC covers every byte. On a
+// miss the call decodes the fill's bytes before it ingests them; bytes
+// that fail are neither cached nor left at the path, where the next
+// fetch would take them for the file, and the call fails. On a hit it
+// reads the entry once, into a pooled buffer, and decodes that buffer
+// before it links the entry into destDir, so the file returned is
+// decoded from the very bytes that passed; an entry that fails is
+// evicted and refetched. The returned input is empty when the call
+// waited on another caller's fill of the same destination; the file is
+// then on disk at the returned path. The caller releases the input.
+func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir string, fill func(ctx context.Context) (string, []byte, error)) (string, Input, bool, error) {
 	kh := key.hash()
 	dest := filepath.Join(destDir, key.Name)
 	served := &c.hits // becomes &c.coalesced once this call has waited on a fill
@@ -232,9 +258,9 @@ func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir str
 		if el, ok := c.entries[kh]; ok {
 			c.order.MoveToFront(el)
 			c.mu.Unlock()
-			if f, err := c.materialize(kh, dest); err == nil {
+			if in, err := c.materialize(kh, dest); err == nil {
 				served.Add(1)
-				return dest, f, true, nil
+				return dest, in, true, nil
 			}
 			// Corrupted, truncated, or vanished entry: evict and fall
 			// through to a real fetch.
@@ -250,7 +276,7 @@ func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir str
 			select {
 			case <-call.done:
 			case <-ctx.Done():
-				return "", nil, false, ctx.Err()
+				return "", Input{}, false, ctx.Err()
 			}
 			if call.err != nil {
 				// The leader failed, possibly on its own canceled lease:
@@ -262,7 +288,7 @@ func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir str
 			if call.path == dest {
 				// The leader filled our exact destination.
 				served.Add(1)
-				return dest, nil, true, nil
+				return dest, Input{}, true, nil
 			}
 			// The leader filled another run's directory; serve ourselves
 			// from the entry it ingested (loop re-checks the cache).
@@ -273,10 +299,10 @@ func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir str
 		c.mu.Unlock()
 
 		path, data, err := fill(ctx)
-		var f *hdf.File
+		var in Input
 		if err == nil {
 			// Before the waiters wake, so none finds bytes that failed.
-			if f, err = decodeFetched(path, data); err == nil {
+			if in, err = decodeFetched(path, data); err == nil {
 				c.ingest(kh, path, data)
 			}
 		}
@@ -286,55 +312,60 @@ func (c *DownloadCache) FetchFile(ctx context.Context, key CacheKey, destDir str
 		call.path, call.err = path, err
 		close(call.done)
 		if err != nil {
-			return "", nil, false, err
+			return "", Input{}, false, err
 		}
 		c.misses.Add(1)
-		return path, f, false, nil
+		return path, in, false, nil
 	}
 }
 
-// decodeFetched decodes data, the bytes a fetch just wrote to path.
-// Bytes that fail — a torn or corrupted transfer — are removed from
-// path, so no later fetch takes them for the file.
-func decodeFetched(path string, data []byte) (*hdf.File, error) {
+// decodeFetched decodes data, the bytes a fetch just wrote to path, into
+// an input that owns them. Bytes that fail — a torn or corrupted
+// transfer — are removed from path, so no later fetch takes them for the
+// file, and go back to the read pool.
+func decodeFetched(path string, data []byte) (Input, error) {
 	f, err := hdf.Decode(data)
 	if err != nil {
 		os.Remove(path)
-		return nil, fmt.Errorf("%s: %w", path, err)
+		releaseBuffer(data)
+		return Input{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return f, nil
+	return Input{File: f, buf: data}, nil
 }
 
 // entryPath names an entry's file.
 func (c *DownloadCache) entryPath(kh string) string { return filepath.Join(c.dir, kh+".granule") }
 
-// materialize reads the entry for kh once, decodes those bytes — which
-// checks their CRC — links the entry to dest and returns the decoded
-// file, so the caller reads exactly what was checked. An existing dest —
-// another hit on the same destination won the link — is left alone;
-// where the filesystem refuses a link, the checked bytes are written to
-// dest instead.
-func (c *DownloadCache) materialize(kh, dest string) (*hdf.File, error) {
+// materialize reads the entry for kh once, into a pooled buffer, decodes
+// those bytes — which checks their CRC — links the entry to dest and
+// returns the decoded input, so the caller reads exactly what was
+// checked. An existing dest — another hit on the same destination won
+// the link — is left alone; where the filesystem refuses a link, the
+// checked bytes are written to dest instead.
+func (c *DownloadCache) materialize(kh, dest string) (Input, error) {
 	entry := c.entryPath(kh)
-	data, err := os.ReadFile(entry)
+	data, err := bufpool.ReadFile(entry)
 	if err != nil {
-		return nil, err
+		return Input{}, err
 	}
-	f, err := hdf.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: cache entry %s: %w", kh, err)
+	in := Input{buf: data}
+	if in.File, err = hdf.Decode(data); err != nil {
+		in.Release()
+		return Input{}, fmt.Errorf("fleet: cache entry %s: %w", kh, err)
 	}
 	if err := os.MkdirAll(filepath.Dir(dest), 0o755); err != nil {
-		return nil, err
+		in.Release()
+		return Input{}, err
 	}
 	if err := os.Link(entry, dest); err == nil || errors.Is(err, fs.ErrExist) {
-		return f, nil
+		return in, nil
 	}
 	// Cross-device or link-hostile filesystem.
 	if err := writeAtomic(dest, data); err != nil {
-		return nil, err
+		in.Release()
+		return Input{}, err
 	}
-	return f, nil
+	return in, nil
 }
 
 // ingest adds the file a fill just wrote at src, whose content is data

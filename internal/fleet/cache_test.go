@@ -572,20 +572,20 @@ func TestDownloadCacheHitServesVerifiedBytes(t *testing.T) {
 		t.Fatalf("miss: hit=%v err=%v", hit, err)
 	}
 	// The dataset is the last thing before the 4-byte CRC trailer.
-	data := payloadOf(t, f)
+	data := payloadOf(t, f.File)
 	if &data[0] != &kept[len(kept)-4-len(data)] {
 		t.Fatal("the miss returned a copy of the bytes its fill kept")
 	}
 
 	d2 := t.TempDir()
 	path, f, hit, err := cache.FetchFile(ctx, key, d2, nil)
-	if err != nil || !hit || string(payloadOf(t, f)) != "fetched-bytes" {
+	if err != nil || !hit || string(payloadOf(t, f.File)) != "fetched-bytes" {
 		t.Fatalf("hit: %v hit=%v err=%v", f, hit, err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, key.hash()+".granule"), []byte("rewritten"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if data := payloadOf(t, f); string(data) != "fetched-bytes" {
+	if data := payloadOf(t, f.File); string(data) != "fetched-bytes" {
 		t.Fatalf("served bytes changed with the entry: %q", data)
 	}
 	if onDisk, err := os.ReadFile(path); err != nil || string(onDisk) != "rewritten" {
@@ -597,7 +597,7 @@ func TestDownloadCacheHitServesVerifiedBytes(t *testing.T) {
 	if _, f, hit, err := cache.FetchFile(ctx, key, d3, func(context.Context) (string, []byte, error) {
 		path := filepath.Join(d3, key.Name)
 		return path, refetched, os.WriteFile(path, refetched, 0o644)
-	}); err != nil || hit || string(payloadOf(t, f)) != "refetched" {
+	}); err != nil || hit || string(payloadOf(t, f.File)) != "refetched" {
 		t.Fatalf("rewritten entry: %v hit=%v err=%v", f, hit, err)
 	}
 	if _, _, evictions := cache.Stats(); evictions != 1 {

@@ -14,3 +14,11 @@ func (k *Kernels) CacheWaiters() int {
 	}
 	return n
 }
+
+// SetReleaseBuffer swaps what Input.Release does with a released
+// input's buffer (by default, bufpool.Put) and returns the restore.
+func SetReleaseBuffer(release func([]byte)) (restore func()) {
+	old := releaseBuffer
+	releaseBuffer = release
+	return func() { releaseBuffer = old }
+}

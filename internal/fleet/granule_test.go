@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
+	"github.com/eoml/eoml/internal/bufpool"
 	"github.com/eoml/eoml/internal/compute"
 	"github.com/eoml/eoml/internal/core"
 	"github.com/eoml/eoml/internal/fleet"
@@ -1030,5 +1031,51 @@ func TestGranuleRefetchesCorruptInput(t *testing.T) {
 			}
 			sameFiles(t, "outbox after the retry", dirFiles(t, args.OutboxDir), want)
 		})
+	}
+}
+
+// TestGranulePoisonedBuffersPublishSameFiles: a granule's input buffers
+// go back to the read pool as soon as tile.Extract returns, before its
+// tiles are labeled and written, so no tile may alias them. Poisoning
+// every buffer as it is released, a cold pass and then a warm pass (every
+// input a cache hit) over several granules publish files byte-identical
+// to the same passes with released buffers dropped, not reused; and each
+// granule task releases exactly its three inputs.
+func TestGranulePoisonedBuffersPublishSameFiles(t *testing.T) {
+	archive := newArchive(t)
+	granules := productiveGranules(t, 3, 2)
+	model, codebook := trainAndSave(t, granules[0])
+	run := func(release func([]byte)) map[string][]byte {
+		defer fleet.SetReleaseBuffer(release)()
+		fn, reg := cachedGranuleKernel(t, t.TempDir())
+		out := map[string][]byte{}
+		for _, pass := range []string{"cold", "warm"} {
+			for _, idx := range granules {
+				args := granuleTask(t, archive.URL, idx, model, codebook, "")
+				if res := runGranule(t, fn, args); res.File == "" {
+					t.Fatalf("%s granule %d published nothing", pass, idx)
+				}
+				for name, data := range dirFiles(t, args.OutboxDir) {
+					out[pass+"/"+name] = data
+				}
+			}
+		}
+		if hits := cacheSeries(t, reg, "eoml_fleet_cache_hits_total"); hits != float64(3*len(granules)) {
+			t.Fatalf("warm pass hit the cache %v times, want %d", hits, 3*len(granules))
+		}
+		return out
+	}
+	unpooled := run(func([]byte) {})
+	var released atomic.Int64
+	poisoned := run(func(b []byte) {
+		released.Add(1)
+		for i := range b {
+			b[i] = 0xA5
+		}
+		bufpool.Put(b)
+	})
+	sameFiles(t, "poisoned buffers", poisoned, unpooled)
+	if got, want := released.Load(), int64(2*3*len(granules)); got != want {
+		t.Fatalf("%d buffers released, want %d (three per granule task)", got, want)
 	}
 }

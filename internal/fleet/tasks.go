@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/eoml/eoml/internal/aicca"
+	"github.com/eoml/eoml/internal/bufpool"
 	"github.com/eoml/eoml/internal/compute"
 	"github.com/eoml/eoml/internal/hdf"
 	"github.com/eoml/eoml/internal/laads"
@@ -23,7 +24,6 @@ import (
 	"github.com/eoml/eoml/internal/modis"
 	"github.com/eoml/eoml/internal/netcdf"
 	"github.com/eoml/eoml/internal/ricc"
-	"github.com/eoml/eoml/internal/tensor"
 	"github.com/eoml/eoml/internal/tile"
 )
 
@@ -174,14 +174,12 @@ type KernelConfig struct {
 }
 
 // Kernels hosts the worker-side granule and label-file kernels against
-// shared per-process state: one decode arena for tile extraction, a
-// model/codebook cache for inference (loaded once per pair; core.Engine
-// embeds one Kernels and uses this as its only weights cache), a
-// content-addressed download cache, and
-// a bounded memo of completed task results so requeued or stolen tasks
-// skip redone work.
+// shared per-process state: a model/codebook cache for inference (loaded
+// once per pair; core.Engine embeds one Kernels and uses this as its only
+// weights cache), a content-addressed download cache, and a bounded memo
+// of completed task results so requeued or stolen tasks skip redone
+// work.
 type Kernels struct {
-	arena     *tensor.ShardedArena
 	downloads *DownloadCache // nil when CacheDir is unset
 	results   *ResultCache
 	quota     *laads.QuotaPool // nil admits everything
@@ -216,7 +214,6 @@ func NewKernels() *Kernels {
 // NewKernelsWith builds the worker kernel set.
 func NewKernelsWith(cfg KernelConfig) (*Kernels, error) {
 	k := &Kernels{
-		arena:   tensor.NewShardedArena(),
 		results: NewResultCache(cfg.ResultCacheSize),
 		quota:   cfg.Quota,
 		models:  map[string]*aicca.Labeler{},
@@ -348,15 +345,16 @@ var granuleKinds = [3]modis.Kind{modis.L1B, modis.Geo, modis.Cloud}
 // many files and bytes it fetched from the archive itself, plus each
 // input it fetched or the download cache served, decoded from the bytes
 // the fetch wrote or the hit read, so the kernel never reads it back or
-// checks it twice. An input it returns no file for (already in dataDir,
-// or filled by a concurrent fetch this one waited on) is on disk. A
+// checks it twice. The caller releases every input it gets back, on
+// success or error. An input it returns empty (already in dataDir, or
+// filled by a concurrent fetch this one waited on) is on disk. A
 // fetched input that fails its decode is not left in dataDir. Each fetch
 // goes through the download cache (when enabled), so re-leases and
 // restarted runs hit disk. A nil client means this kernel set's own for
 // the credential. No archive URL means shared storage; missing files
 // surface later as read errors.
-func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, [3]*hdf.File, error) {
-	var inputs [3]*hdf.File
+func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, g modis.GranuleID, dataDir, url, token string) (int, int64, [3]Input, error) {
+	var inputs [3]Input
 	if url == "" {
 		return 0, 0, inputs, nil
 	}
@@ -370,14 +368,16 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, 
 		// on its product's goroutine or not at all.
 		fetched = make([]laads.FileResult, len(granuleKinds))
 	)
+	// Before any product goroutine starts, so an error returns with none
+	// left running.
+	if err := os.MkdirAll(dataDir, 0o755); err != nil {
+		return 0, 0, inputs, err
+	}
 	for i, kind := range granuleKinds {
 		prod := modis.Product{Satellite: g.Satellite, Kind: kind}
 		name := modis.FileName(prod, g)
 		if _, err := os.Stat(filepath.Join(dataDir, name)); err == nil {
 			continue
-		}
-		if err := os.MkdirAll(dataDir, 0o755); err != nil {
-			return 0, 0, inputs, err
 		}
 		wg.Add(1)
 		go func(i int, prod modis.Product, name string) {
@@ -411,16 +411,16 @@ func (k *Kernels) fetchGranuleInputs(ctx context.Context, client *laads.Client, 
 
 // fetchDirect runs fill for dest, coalescing concurrent callers: the
 // first becomes the leader and decodes the bytes its fill kept, the rest
-// wait and succeed (with no file; it is on disk) when it does. A fill
-// whose bytes fail the decode fails the leader, and the file it wrote is
-// removed before any waiter wakes. A waiter whose leader failed
+// wait and succeed (with an empty input; the file is on disk) when it
+// does. A fill whose bytes fail the decode fails the leader, and the
+// file it wrote is removed before any waiter wakes. A waiter whose leader failed
 // (possibly on the leader's own canceled context) loops and retries as
 // leader, so a lease never fails a fetch just because a duplicate
 // lease's attempt died.
-func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, []byte, error)) (*hdf.File, error) {
+func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(context.Context) (string, []byte, error)) (Input, error) {
 	for {
 		if _, err := os.Stat(dest); err == nil {
-			return nil, nil
+			return Input{}, nil
 		}
 		k.mu.Lock()
 		if call, ok := k.fetches[dest]; ok {
@@ -428,44 +428,49 @@ func (k *Kernels) fetchDirect(ctx context.Context, dest string, fill func(contex
 			select {
 			case <-call.done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return Input{}, ctx.Err()
 			}
 			if call.err == nil {
-				return nil, nil
+				return Input{}, nil
 			}
 			continue
 		}
 		call := &fetchCall{done: make(chan struct{})}
 		k.fetches[dest] = call
 		k.mu.Unlock()
-		var f *hdf.File
+		var in Input
 		path, data, err := fill(ctx)
 		if err == nil {
-			f, err = decodeFetched(path, data)
+			in, err = decodeFetched(path, data)
 		}
 		call.err = err
 		k.mu.Lock()
 		delete(k.fetches, dest)
 		k.mu.Unlock()
 		close(call.done)
-		return f, err
+		return in, err
 	}
 }
 
-// readInput decodes a granule input already on disk. One fetched from
-// an archive that fails its decode — an earlier fetch's torn or
-// corrupted body — is unlinked, so the next lease of the granule fetches
-// it again instead of failing on it for good; an input on shared
-// storage is never removed.
-func readInput(path string, fetched bool) (*hdf.File, error) {
-	if !fetched {
-		return hdf.ReadFile(path)
-	}
-	data, err := os.ReadFile(path)
+// readInput reads a granule input already on disk into a pooled buffer
+// and decodes it. One fetched from an archive that fails its decode — an
+// earlier fetch's torn or corrupted body — is unlinked, so the next
+// lease of the granule fetches it again instead of failing on it for
+// good; an input on shared storage is never removed.
+func readInput(path string, fetched bool) (Input, error) {
+	data, err := bufpool.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Input{}, err
 	}
-	return decodeFetched(path, data)
+	if fetched {
+		return decodeFetched(path, data)
+	}
+	f, err := hdf.Decode(data)
+	if err != nil {
+		releaseBuffer(data)
+		return Input{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return Input{File: f, buf: data}, nil
 }
 
 // parseGranuleRef decodes and validates a granule task's reference.
@@ -536,7 +541,14 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	}
 	clock := phaseClock{mark: out.Started}
 	k.fetching.Add(1)
-	var files [3]*hdf.File
+	// Each input's buffer goes back to the read pool once Extract has
+	// returned (no tile aliases it), or here on any earlier return.
+	var files [3]Input
+	defer func() {
+		for i := range files {
+			files[i].Release()
+		}
+	}()
 	out.FetchedFiles, out.FetchedBytes, files, err = k.fetchGranuleInputs(ctx, client, g, a.DataDir, a.ArchiveURL, a.ArchiveToken)
 	k.fetching.Add(-1)
 	if err != nil {
@@ -548,7 +560,7 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 	}
 	defer func() { <-gate }()
 	for i, kind := range granuleKinds {
-		if files[i] != nil {
+		if files[i].File != nil {
 			continue
 		}
 		path := filepath.Join(a.DataDir, modis.FileName(modis.Product{Satellite: g.Satellite, Kind: kind}, g))
@@ -556,11 +568,13 @@ func (k *Kernels) granule(ctx context.Context, args map[string]any, gate chan st
 			return nil, err
 		}
 	}
-	res, err := tile.Extract(files[0], files[1], files[2], tile.Options{
+	res, err := tile.Extract(files[0].File, files[1].File, files[2].File, tile.Options{
 		TileSize:     a.TilePixels,
 		MinCloudFrac: a.MinCloudFrac,
-		Arena:        k.arena,
 	})
+	for i := range files {
+		files[i].Release()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -732,10 +746,6 @@ func (k *Kernels) UseLabeler(l *aicca.Labeler) {
 	defer k.mu.Unlock()
 	k.models["|"] = l
 }
-
-// Arena returns the decode scratch arena tile extraction recycles, so an
-// embedding process can instrument it.
-func (k *Kernels) Arena() *tensor.ShardedArena { return k.arena }
 
 func parseSatellite(s string) (modis.Satellite, error) {
 	switch s {

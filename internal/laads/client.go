@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/eoml/eoml/internal/bufpool"
 	"github.com/eoml/eoml/internal/metrics"
 	"github.com/eoml/eoml/internal/modis"
 )
@@ -142,7 +143,8 @@ type FileResult struct {
 	Duration time.Duration
 	Attempts int
 	// Data is the file's content as written to Path, kept only by
-	// DownloadKeep; nil otherwise.
+	// DownloadKeep; nil otherwise. It is a bufpool buffer: the caller
+	// may hand it back with bufpool.Put once nothing reads it.
 	Data []byte
 }
 
@@ -237,19 +239,22 @@ func (c *Client) fetchOnce(ctx context.Context, url, name, destDir string, keep 
 	var body io.Reader = resp.Body
 	var kept *bytes.Buffer
 	if keep {
-		kept = bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxKeptPrealloc)))
+		// A pooled buffer: the body overwrites every byte it keeps.
+		kept = bytes.NewBuffer(bufpool.Get(int(min(max(resp.ContentLength, 0), maxKeptPrealloc)))[:0])
 		body = io.TeeReader(resp.Body, kept)
 	}
 	n, err := io.Copy(out, body)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, "", nil, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+		if kept != nil {
+			bufpool.Put(kept.Bytes())
+		}
 		return 0, "", nil, err
 	}
 	if kept == nil {

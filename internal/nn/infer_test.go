@@ -48,41 +48,6 @@ func inferDiff(got, want *tensor.T) float64 {
 	return worst
 }
 
-func TestInferMatchesForward(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	model := riccLikeStack(t, r)
-	x := tensor.New(5, 3, 16, 16)
-	for i := range x.Data {
-		x.Data[i] = float32(r.Float64())
-	}
-	want := model.Forward(x)
-	arena := tensor.NewLocal()
-	for pass := 0; pass < 3; pass++ { // repeated passes hit recycled buffers
-		got := model.Infer(x, arena)
-		if !got.SameShape(want) {
-			t.Fatalf("pass %d: shape %v, want %v", pass, got.Shape, want.Shape)
-		}
-		if d := inferDiff(got, want); d > 1e-5 {
-			t.Fatalf("pass %d: worst relative diff %g", pass, d)
-		}
-		arena.Put(got)
-	}
-}
-
-func TestInferNilArena(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	model := riccLikeStack(t, r)
-	x := tensor.New(2, 3, 16, 16)
-	for i := range x.Data {
-		x.Data[i] = float32(r.Float64())
-	}
-	want := model.Forward(x)
-	got := model.Infer(x, nil)
-	if d := inferDiff(got, want); d > 1e-5 {
-		t.Fatalf("worst relative diff %g", d)
-	}
-}
-
 // TestInferConcurrent runs concurrent Infer calls on one model, each
 // with a private arena, under the race detector: Infer must not touch
 // shared layer state the way Forward does.
@@ -117,7 +82,8 @@ func TestInferConcurrent(t *testing.T) {
 // forward pass bit-for-bit: both run im2col + the blocked matmul with
 // the identical bias/NCHW epilogue, so any drift means the batched
 // kernels diverged. Covers N=1 and batch sizes that are not multiples
-// of the GEMM register block.
+// of the GEMM register block, each over repeated passes that recycle
+// the arena's buffers.
 func TestInferBatchMatchesForward(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	model := riccLikeStack(t, r)

@@ -87,3 +87,42 @@ func BenchmarkAblationConv(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkIm2ColEncoderShapes times the column gather of the RICC
+// encoder's two convolutions on a 58-tile batch of 16×16×6 tiles, the
+// batch a typical day granule labels, in both precisions.
+func BenchmarkIm2ColEncoderShapes(b *testing.B) {
+	const tiles = 58
+	r := rand.New(rand.NewSource(13))
+	for _, s := range []struct {
+		name            string
+		inC, outC, side int
+	}{
+		{"conv1", 6, 16, 16},
+		{"conv2", 16, 32, 8},
+	} {
+		g, err := tensor.NewConvGeom(s.inC, s.outC, 3, 2, 1, s.side, s.side)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := tensor.New(tiles, s.inC, s.side, s.side)
+		x.Randn(r, 1)
+		rows, width := tiles*g.OutH*g.OutW, s.inC*9
+		cols := tensor.New(rows, width)
+		b.Run(s.name+"/float32", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.Im2ColInto(x, g, cols)
+			}
+			b.ReportMetric(float64(rows*width*4*b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+		xq := make([]int8, len(x.Data))
+		tensor.Quantize(xq, x.Data)
+		colsQ := make([]int8, rows*width)
+		b.Run(s.name+"/int8", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.Im2ColQ8Into(xq, tiles, g, colsQ)
+			}
+			b.ReportMetric(float64(rows*width*b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+}

@@ -40,39 +40,90 @@ func Im2Col(x *T, g ConvGeom) *T {
 // across batches instead of regrowing the heap every forward pass.
 func Im2ColInto(x *T, g ConvGeom, dst *T) *T {
 	n := x.Shape[0]
-	k, stride, pad := g.Kernel, g.Stride, g.Pad
-	rows, width := n*g.OutH*g.OutW, g.InC*k*k
+	rows, width := n*g.OutH*g.OutW, g.InC*g.Kernel*g.Kernel
 	cols := dst
 	if cols == nil || len(cols.Shape) != 2 || cols.Shape[0] != rows || cols.Shape[1] != width {
 		cols = New(rows, width)
 	}
+	im2col(x.Data, n, g, cols.Data)
+	return cols
+}
+
+// im2col unfolds the NCHW input x (n batch items) into the
+// [n·OutH·OutW, InC·K·K] column matrix dst, overwriting every element of
+// its first n·OutH·OutW rows. It writes dst in order, one output pixel's
+// row at a time, which is the order the GEMM reads its A operand. Each
+// kernel row (c, ky) of a pixel's taps is a run of K adjacent input
+// values, copied without a bounds test: where taps reach past the input
+// (padding, or a kernel wider than what is left of it), each batch item
+// is first staged once into a zero-bordered copy that covers every tap.
+func im2col[E float32 | int8](x []E, n int, g ConvGeom, dst []E) {
+	k, stride, pad := g.Kernel, g.Stride, g.Pad
+	width := g.InC * k * k
 	inPlane := g.InH * g.InW
-	parallelWork(n*g.OutH, g.OutW*g.InC*k*k, func(lo, hi int) {
+	// The taps cover rows [-pad, sh-pad) and columns [-pad, sw-pad).
+	sh, sw := (g.OutH-1)*stride+k, (g.OutW-1)*stride+k
+	stage := pad > 0 || sh > g.InH || sw > g.InW
+	pitch, plane := g.InW, inPlane
+	if stage {
+		pitch, plane = sw, sh*sw
+	}
+	parallelWork(n*g.OutH, g.OutW*width, func(lo, hi int) {
+		var staged []E // zero outside the copied input, never written there
+		if stage {
+			staged = make([]E, g.InC*plane)
+		}
+		var src []E
+		item := -1
 		for row := lo; row < hi; row++ {
-			b := row / g.OutH
-			oy := row % g.OutH
+			if b := row / g.OutH; b != item {
+				item = b
+				src = x[b*g.InC*inPlane : (b+1)*g.InC*inPlane]
+				if stage {
+					stageItem(staged, src, g, sh, sw)
+					src = staged
+				}
+			}
+			top := row % g.OutH * stride * pitch
 			for ox := 0; ox < g.OutW; ox++ {
-				dst := cols.Data[(row*g.OutW+ox)*g.InC*k*k:]
+				out := dst[(row*g.OutW+ox)*width : (row*g.OutW+ox+1)*width]
 				di := 0
 				for c := 0; c < g.InC; c++ {
-					src := x.Data[(b*g.InC+c)*inPlane:]
+					at := c*plane + top + ox*stride
+					if k == 3 { // the encoder's kernel: three fixed-size rows
+						o := (*[9]E)(out[di:])
+						r0, r1, r2 := (*[3]E)(src[at:]), (*[3]E)(src[at+pitch:]), (*[3]E)(src[at+2*pitch:])
+						o[0], o[1], o[2] = r0[0], r0[1], r0[2]
+						o[3], o[4], o[5] = r1[0], r1[1], r1[2]
+						o[6], o[7], o[8] = r2[0], r2[1], r2[2]
+						di += 9
+						continue
+					}
 					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky - pad
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx - pad
-							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-								dst[di] = src[iy*g.InW+ix]
-							} else {
-								dst[di] = 0
-							}
-							di++
-						}
+						copy(out[di:di+k], src[at:at+k])
+						di += k
+						at += pitch
 					}
 				}
 			}
 		}
 	})
-	return cols
+}
+
+// stageItem copies one batch item's planes into staged, whose planes are
+// sh×sw with the input's pixel (0, 0) at (pad, pad), clipping what no tap
+// reaches.
+func stageItem[E float32 | int8](staged, item []E, g ConvGeom, sh, sw int) {
+	cols := min(g.InW, sw-g.Pad)
+	if cols <= 0 {
+		return
+	}
+	for c := 0; c < g.InC; c++ {
+		for y := 0; y < g.InH && y+g.Pad < sh; y++ {
+			at := c*sh*sw + (y+g.Pad)*sw + g.Pad
+			copy(staged[at:at+cols], item[(c*g.InH+y)*g.InW:])
+		}
+	}
 }
 
 // Col2Im folds a column-gradient matrix (shape [N*OutH*OutW, InC*K*K])

@@ -176,39 +176,13 @@ func MatMulQ8Naive(a []int8, sa float32, q *QWeights, m int) []float32 {
 
 // Im2ColQ8Into unfolds an int8-quantized NCHW input (n batch items,
 // flattened into x) into the [n·OutH·OutW, InC·K·K] column matrix in
-// dst, mirroring Im2ColInto. Because the quantization is symmetric,
+// dst, with Im2ColInto's loop. Because the quantization is symmetric,
 // zero padding quantizes to 0 and gathering quantized bytes here equals
 // quantizing the float im2col matrix — while touching 4× less memory.
 func Im2ColQ8Into(x []int8, n int, g ConvGeom, dst []int8) {
-	k, stride, pad := g.Kernel, g.Stride, g.Pad
-	rows, width := n*g.OutH*g.OutW, g.InC*k*k
+	rows, width := n*g.OutH*g.OutW, g.InC*g.Kernel*g.Kernel
 	if len(x) < n*g.InC*g.InH*g.InW || len(dst) < rows*width {
 		panic(fmt.Sprintf("tensor: im2colQ8 x[%d] dst[%d] for %+v n=%d", len(x), len(dst), g, n))
 	}
-	inPlane := g.InH * g.InW
-	parallelWork(n*g.OutH, g.OutW*width, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			b := row / g.OutH
-			oy := row % g.OutH
-			for ox := 0; ox < g.OutW; ox++ {
-				out := dst[(row*g.OutW+ox)*width:]
-				di := 0
-				for c := 0; c < g.InC; c++ {
-					src := x[(b*g.InC+c)*inPlane:]
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky - pad
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx - pad
-							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-								out[di] = src[iy*g.InW+ix]
-							} else {
-								out[di] = 0
-							}
-							di++
-						}
-					}
-				}
-			}
-		}
-	})
+	im2col(x, n, g, dst)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/eoml/eoml/internal/modis"
-	"github.com/eoml/eoml/internal/tensor"
 	"github.com/eoml/eoml/internal/tile"
 )
 
@@ -21,22 +20,15 @@ func BenchmarkTileExtract(b *testing.B) {
 	}
 	mod03, _ := gen.Generate(modis.MOD03, g)
 	mod06, _ := gen.Generate(modis.MOD06L2, g)
-	run := func(b *testing.B, opts tile.Options) {
-		b.ReportAllocs()
-		var tiles int
-		for i := 0; i < b.N; i++ {
-			res, err := tile.Extract(mod02, mod03, mod06, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tiles = len(res.Tiles)
+	opts := tile.Options{TileSize: gen.TilePixels()}
+	b.ReportAllocs()
+	var tiles int
+	for i := 0; i < b.N; i++ {
+		res, err := tile.Extract(mod02, mod03, mod06, opts)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(tiles), "tiles/granule")
+		tiles = len(res.Tiles)
 	}
-	b.Run("plain", func(b *testing.B) {
-		run(b, tile.Options{TileSize: gen.TilePixels()})
-	})
-	b.Run("arena", func(b *testing.B) {
-		run(b, tile.Options{TileSize: gen.TilePixels(), Arena: tensor.NewShardedArena()})
-	})
+	b.ReportMetric(float64(tiles), "tiles/granule")
 }

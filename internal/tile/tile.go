@@ -13,7 +13,9 @@
 package tile
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/eoml/eoml/internal/hdf"
 	"github.com/eoml/eoml/internal/modis"
@@ -31,10 +33,10 @@ type Options struct {
 	Bands []int
 	// MinCloudFrac is the minimum cloudy-pixel fraction (default 0.3).
 	MinCloudFrac float64
-	// Arena, when set, recycles the per-granule decode scratch (~1MB of
-	// float32 planes at container scale) across Extract calls; the
-	// concurrent preprocessing workers share one ShardedArena and each
-	// call checks out its own shard. Nil allocates per call.
+	// Arena is not read: Extract decodes each kept tile straight into its
+	// own buffer and keeps no per-granule scratch to recycle.
+	//
+	// Deprecated: leave it nil.
 	Arena *tensor.ShardedArena
 }
 
@@ -95,85 +97,40 @@ type Result struct {
 	Stats Stats
 }
 
+// DimsError reports a MOD03 or MOD06 dataset whose shape does not match
+// the MOD02 swath it is read against.
+type DimsError struct {
+	Product string // "MOD03" or "MOD06"
+	Name    string // dataset name
+	Dims    []int  // the dataset's dims
+	Want    []int  // the swath's [ny nx]
+}
+
+func (e *DimsError) Error() string {
+	return fmt.Sprintf("tile: %s %s dims %v, want %v", e.Product, e.Name, e.Dims, e.Want)
+}
+
 // Extract cuts ocean-cloud tiles from one granule triple. The three files
 // must come from the same granule (matching AcquisitionDate attributes).
+//
+// Every dtype, rank and dims check runs before any byte is read. The
+// masks are then read in place from the datasets' raw bytes, and a
+// candidate's radiances are decoded only once it passes the land and
+// cloud tests, straight into the tile's own buffer; a candidate the fill
+// test rejects lends that buffer to the next one. Geolocation is read at
+// the kept tile's centre pixel and the MOD06 properties at its cloudy
+// pixels, so no swath-sized plane is ever decoded. The tiles own all
+// their memory: none aliases the files' bytes.
 func Extract(mod02, mod03, mod06 *hdf.File, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	if err := sameGranule(mod02, mod03, mod06); err != nil {
 		return nil, err
 	}
-
-	rad, err := mod02.Dataset("EV_1KM_RefSB")
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD02: %w", err)
-	}
-	if len(rad.Dims) != 3 {
-		return nil, fmt.Errorf("tile: EV_1KM_RefSB rank %d, want 3", len(rad.Dims))
-	}
-	nbands, ny, nx := rad.Dims[0], rad.Dims[1], rad.Dims[2]
-	scale, ok := mod02.AttrFloat("radiance_scale")
-	if !ok {
-		return nil, fmt.Errorf("tile: MOD02 missing radiance_scale attribute")
-	}
-	offset, _ := mod02.AttrFloat("radiance_offset")
-	fillAttr, ok := mod02.AttrInt("_FillValue")
-	if !ok {
-		fillAttr = 65535
-	}
-	fill := uint16(fillAttr)
-
-	for _, b := range o.Bands {
-		if b < 0 || b >= nbands {
-			return nil, fmt.Errorf("tile: band %d out of range [0,%d)", b, nbands)
-		}
-	}
-
-	// All float32 granule scratch below lives in one arena shard checked
-	// out for the duration of this call.
-	shard := o.Arena.Acquire()
-	defer o.Arena.Release(shard)
-	sc := &granuleScratch{a: shard}
-	defer sc.release()
-
-	// Decode only the selected band planes, scale/offset applied and fill
-	// mapped to NaN — the full uint16 cube (36 bands) never materializes.
-	plane := ny * nx
-	bandVals := sc.get(len(o.Bands) * plane)
-	for bi, b := range o.Bands {
-		if err := rad.ScaledPlaneInto(b, scale, offset, fill, bandVals[bi*plane:(bi+1)*plane]); err != nil {
-			return nil, err
-		}
-	}
-
-	land, err := maskFrom(mod03, "LandSeaMask", ny, nx)
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD03: %w", err)
-	}
-	cloud, err := maskFrom(mod06, "Cloud_Mask_1km", ny, nx)
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD06: %w", err)
-	}
-	latD, err := mod03.Dataset("Latitude")
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD03: %w", err)
-	}
-	lats := sc.get(plane)
-	if err := latD.Float32sInto(lats); err != nil {
-		return nil, err
-	}
-	lonD, err := mod03.Dataset("Longitude")
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD03: %w", err)
-	}
-	lons := sc.get(plane)
-	if err := lonD.Float32sInto(lons); err != nil {
-		return nil, err
-	}
-
-	props, err := cloudProps(mod06, ny, nx, sc)
+	sw, err := openSwath(mod02, mod03, mod06, o.Bands)
 	if err != nil {
 		return nil, err
 	}
+	ny, nx := sw.ny, sw.nx
 
 	ts := o.TileSize
 	if ts <= 0 || ts > ny || ts > nx {
@@ -187,6 +144,10 @@ func Extract(mod02, mod03, mod06 *hdf.File, opts Options) (*Result, error) {
 	res := &Result{Stats: Stats{GridRows: rows, GridCols: cols, Candidates: rows * cols}}
 	npix := ts * ts
 	minCloudPix := int(o.MinCloudFrac * float64(npix))
+	land, cloud := sw.land, sw.cloud
+	// buf is the candidate's radiance buffer. A kept tile takes it; one
+	// the fill test rejects leaves it for the next candidate.
+	var buf []float32
 
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -195,13 +156,14 @@ func Extract(mod02, mod03, mod06 *hdf.File, opts Options) (*Result, error) {
 			allOcean := true
 			cloudy := 0
 			for y := y0; y < y0+ts && allOcean; y++ {
-				base := y * nx
-				for x := x0; x < x0+ts; x++ {
-					if land[base+x] != 0 {
+				lrow := land[y*nx+x0 : y*nx+x0+ts]
+				crow := cloud[y*nx+x0 : y*nx+x0+ts]
+				for x, l := range lrow {
+					if l != 0 {
 						allOcean = false
 						break
 					}
-					if cloud[base+x] != 0 {
+					if crow[x] != 0 {
 						cloudy++
 					}
 				}
@@ -214,51 +176,30 @@ func Extract(mod02, mod03, mod06 *hdf.File, opts Options) (*Result, error) {
 				res.Stats.RejectedCloud++
 				continue
 			}
-			// Pass 2: radiances; reject on fill (night reflective bands),
-			// which ScaledPlaneInto decoded to NaN. The check runs before
-			// any allocation, so rejected candidates cost nothing.
-			hasFill := false
-			for bi := range o.Bands {
-				bp := bandVals[bi*plane:]
-				for y := 0; y < ts && !hasFill; y++ {
-					srcBase := (y0+y)*nx + x0
-					for x := 0; x < ts; x++ {
-						if v := bp[srcBase+x]; v != v { // NaN: fill
-							hasFill = true
-							break
-						}
-					}
-				}
-				if hasFill {
-					break
-				}
+			// Pass 2: radiances, decoded into the tile's own buffer. A
+			// value that decodes to NaN (the fill of night reflective
+			// bands, or a NaN scale or offset) rejects the tile.
+			if buf == nil {
+				buf = make([]float32, len(o.Bands)*npix)
 			}
-			if hasFill {
+			if !sw.decodeTile(buf, o.Bands, y0, x0, ts) {
 				res.Stats.RejectedFill++
 				continue
-			}
-			// The tile escapes into the result, so its Data is an exact-size
-			// heap buffer gathered row-wise from the decoded planes.
-			data := make([]float32, len(o.Bands)*npix)
-			for bi := range o.Bands {
-				bp := bandVals[bi*plane:]
-				for y := 0; y < ts; y++ {
-					copy(data[bi*npix+y*ts:bi*npix+(y+1)*ts], bp[(y0+y)*nx+x0:])
-				}
 			}
 			center := (y0+ts/2)*nx + x0 + ts/2
 			t := &Tile{
 				Granule:  granule,
 				Row:      r,
 				Col:      c,
-				Data:     data,
+				Data:     buf,
 				Bands:    append([]int(nil), o.Bands...),
 				TileSize: ts,
-				Lat:      lats[center],
-				Lon:      lons[center],
+				Lat:      f32At(sw.lat, center),
+				Lon:      f32At(sw.lon, center),
 				Label:    -1,
 			}
-			fillCloudStats(t, props, cloud, y0, x0, ts, nx)
+			buf = nil
+			sw.fillCloudStats(t, y0, x0, ts)
 			res.Tiles = append(res.Tiles, t)
 		}
 	}
@@ -266,26 +207,214 @@ func Extract(mod02, mod03, mod06 *hdf.File, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// granuleScratch hands out float32 decode buffers backed by arena
-// tensors for the span of one Extract call; release parks them all back
-// on the shard. The slices it returns must not outlive the call.
-type granuleScratch struct {
-	a    *tensor.LocalArena
-	bufs []*tensor.T
+// swath holds the raw little-endian bytes of every dataset Extract
+// reads, each checked for dtype and shape against the MOD02 swath.
+type swath struct {
+	ny, nx int
+
+	rad                []byte // EV_1KM_RefSB, uint16 [band ny nx]
+	scale, offset      float64
+	fill               uint16
+	land, cloud        []byte // uint8 [ny nx]
+	lat, lon           []byte // float32, ny*nx values
+	ctp, cot, cer, cwp []byte // float32 [ny nx]
+	phase              []byte // uint8 [ny nx]
 }
 
-func (s *granuleScratch) get(n int) []float32 {
-	//eomlvet:ignore arenapair ownership parked in s.bufs; release() Puts every tensor back
-	t := s.a.Get(n)
-	s.bufs = append(s.bufs, t)
-	return t.Data
-}
-
-func (s *granuleScratch) release() {
-	for _, t := range s.bufs {
-		s.a.Put(t)
+// openSwath runs every check Extract makes before it reads a byte, in the
+// order the checks have always run: the radiance cube and its
+// attributes, the selected bands, the two masks, geolocation, then the
+// MOD06 properties.
+func openSwath(mod02, mod03, mod06 *hdf.File, bands []int) (*swath, error) {
+	rad, err := mod02.Dataset("EV_1KM_RefSB")
+	if err != nil {
+		return nil, fmt.Errorf("tile: MOD02: %w", err)
 	}
-	s.bufs = s.bufs[:0]
+	if len(rad.Dims) != 3 {
+		return nil, fmt.Errorf("tile: EV_1KM_RefSB rank %d, want 3", len(rad.Dims))
+	}
+	nbands, ny, nx := rad.Dims[0], rad.Dims[1], rad.Dims[2]
+	sw := &swath{ny: ny, nx: nx}
+	var ok bool
+	if sw.scale, ok = mod02.AttrFloat("radiance_scale"); !ok {
+		return nil, fmt.Errorf("tile: MOD02 missing radiance_scale attribute")
+	}
+	sw.offset, _ = mod02.AttrFloat("radiance_offset")
+	fillAttr, ok := mod02.AttrInt("_FillValue")
+	if !ok {
+		fillAttr = 65535
+	}
+	sw.fill = uint16(fillAttr)
+
+	for _, b := range bands {
+		if b < 0 || b >= nbands {
+			return nil, fmt.Errorf("tile: band %d out of range [0,%d)", b, nbands)
+		}
+	}
+	if len(bands) > 0 {
+		if rad.DType != hdf.Uint16 {
+			return nil, fmt.Errorf("hdf: dataset %q is %v, want uint16", rad.Name, rad.DType)
+		}
+		if sw.rad, err = rawOf(rad); err != nil {
+			return nil, err
+		}
+	}
+
+	want := []int{ny, nx}
+	if sw.land, err = plane(mod03, "MOD03", "LandSeaMask", hdf.Uint8, want); err != nil {
+		return nil, err
+	}
+	if sw.cloud, err = plane(mod06, "MOD06", "Cloud_Mask_1km", hdf.Uint8, want); err != nil {
+		return nil, err
+	}
+	// Geolocation is read by flat pixel index, so only its length must
+	// match the swath's, not its shape.
+	if sw.lat, err = geo(mod03, "Latitude", ny*nx); err != nil {
+		return nil, err
+	}
+	if sw.lon, err = geo(mod03, "Longitude", ny*nx); err != nil {
+		return nil, err
+	}
+	for _, p := range []struct {
+		name string
+		dst  *[]byte
+	}{
+		{"Cloud_Top_Pressure", &sw.ctp},
+		{"Cloud_Optical_Thickness", &sw.cot},
+		{"Cloud_Effective_Radius", &sw.cer},
+		{"Cloud_Water_Path", &sw.cwp},
+	} {
+		if *p.dst, err = plane(mod06, "MOD06", p.name, hdf.Float32, want); err != nil {
+			return nil, err
+		}
+	}
+	if sw.phase, err = plane(mod06, "MOD06", "Cloud_Phase_Infrared", hdf.Uint8, want); err != nil {
+		return nil, err
+	}
+	return sw, nil
+}
+
+// plane returns the raw bytes of a 2-D dataset of the given dtype whose
+// dims equal want.
+func plane(f *hdf.File, product, name string, dt hdf.DType, want []int) ([]byte, error) {
+	d, err := f.Dataset(name)
+	if err != nil {
+		return nil, fmt.Errorf("tile: %s: %w", product, err)
+	}
+	if len(d.Dims) != 2 || d.Dims[0] != want[0] || d.Dims[1] != want[1] {
+		return nil, &DimsError{Product: product, Name: name, Dims: d.Dims, Want: want}
+	}
+	if d.DType != dt {
+		return nil, fmt.Errorf("hdf: dataset %q is %v, want %v", d.Name, d.DType, dt)
+	}
+	return rawOf(d)
+}
+
+// geo returns the raw bytes of a float32 MOD03 geolocation dataset of n
+// values.
+func geo(mod03 *hdf.File, name string, n int) ([]byte, error) {
+	d, err := mod03.Dataset(name)
+	if err != nil {
+		return nil, fmt.Errorf("tile: MOD03: %w", err)
+	}
+	if d.DType != hdf.Float32 {
+		return nil, fmt.Errorf("hdf: dataset %q is %v, want float32", d.Name, d.DType)
+	}
+	if got, ok := elems(d.Dims); !ok || got != n {
+		return nil, fmt.Errorf("hdf: dataset %q: dims %v hold %d values, want %d", d.Name, d.Dims, got, n)
+	}
+	return rawOf(d)
+}
+
+// rawOf returns d's bytes once they hold exactly the elements its dims
+// name, so every index below a dim bound is in range.
+func rawOf(d *hdf.Dataset) ([]byte, error) {
+	n, ok := elems(d.Dims)
+	raw := d.Raw()
+	if !ok || len(raw)/d.DType.Size() != n {
+		return nil, fmt.Errorf("hdf: dataset %q: %d bytes for dims %v of %v", d.Name, len(raw), d.Dims, d.DType)
+	}
+	return raw, nil
+}
+
+// elems is the product of dims, false when a dim is negative or the
+// product overflows.
+func elems(dims []int) (int, bool) {
+	if len(dims) == 0 {
+		return 0, true
+	}
+	n := 1
+	for _, d := range dims {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// decodeTile decodes the selected bands of the ts×ts tile at (y0, x0)
+// into dst, band-major, as v*scale + offset. It returns false at the
+// first value that is the fill or decodes to NaN; dst is then partly
+// written.
+func (sw *swath) decodeTile(dst []float32, bands []int, y0, x0, ts int) bool {
+	npix := ts * ts
+	for bi, b := range bands {
+		for y := 0; y < ts; y++ {
+			off := 2 * ((b*sw.ny+y0+y)*sw.nx + x0)
+			row := sw.rad[off : off+2*ts]
+			out := dst[bi*npix+y*ts : bi*npix+(y+1)*ts]
+			for x := range out {
+				v := binary.LittleEndian.Uint16(row[2*x:])
+				if v == sw.fill {
+					return false
+				}
+				f := float32(float64(v)*sw.scale + sw.offset)
+				if f != f {
+					return false
+				}
+				out[x] = f
+			}
+		}
+	}
+	return true
+}
+
+// fillCloudStats averages the MOD06 properties over the tile's cloudy
+// pixels.
+func (sw *swath) fillCloudStats(t *Tile, y0, x0, ts int) {
+	var sumCTP, sumCOT, sumCER, sumCWP float64
+	cloudy, ice := 0, 0
+	for y := y0; y < y0+ts; y++ {
+		base := y * sw.nx
+		for x := x0; x < x0+ts; x++ {
+			i := base + x
+			if sw.cloud[i] == 0 {
+				continue
+			}
+			cloudy++
+			sumCTP += float64(f32At(sw.ctp, i))
+			sumCOT += float64(f32At(sw.cot, i))
+			sumCER += float64(f32At(sw.cer, i))
+			sumCWP += float64(f32At(sw.cwp, i))
+			if sw.phase[i] == 2 {
+				ice++
+			}
+		}
+	}
+	t.CloudFrac = float32(cloudy) / float32(ts*ts)
+	if cloudy > 0 {
+		t.MeanCTP = float32(sumCTP / float64(cloudy))
+		t.MeanCOT = float32(sumCOT / float64(cloudy))
+		t.MeanCER = float32(sumCER / float64(cloudy))
+		t.MeanCWP = float32(sumCWP / float64(cloudy))
+		t.IcePhaseFrac = float32(ice) / float32(cloudy)
+	}
+}
+
+// f32At reads float32 value i of little-endian raw bytes.
+func f32At(raw []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 }
 
 // sameGranule verifies the three products describe the same observation.
@@ -303,89 +432,4 @@ func sameGranule(files ...*hdf.File) error {
 		}
 	}
 	return nil
-}
-
-func maskFrom(f *hdf.File, name string, ny, nx int) ([]uint8, error) {
-	d, err := f.Dataset(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.Dims) != 2 || d.Dims[0] != ny || d.Dims[1] != nx {
-		return nil, fmt.Errorf("tile: %s dims %v, want [%d %d]", name, d.Dims, ny, nx)
-	}
-	return d.Uint8s()
-}
-
-type physProps struct {
-	ctp, cot, cer, cwp []float32
-	phase              []uint8
-}
-
-func cloudProps(mod06 *hdf.File, ny, nx int, sc *granuleScratch) (*physProps, error) {
-	get := func(name string) ([]float32, error) {
-		d, err := mod06.Dataset(name)
-		if err != nil {
-			return nil, fmt.Errorf("tile: MOD06: %w", err)
-		}
-		if len(d.Dims) != 2 || d.Dims[0] != ny || d.Dims[1] != nx {
-			return nil, fmt.Errorf("tile: MOD06 %s dims %v, want [%d %d]", name, d.Dims, ny, nx)
-		}
-		buf := sc.get(ny * nx)
-		if err := d.Float32sInto(buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	p := &physProps{}
-	var err error
-	if p.ctp, err = get("Cloud_Top_Pressure"); err != nil {
-		return nil, err
-	}
-	if p.cot, err = get("Cloud_Optical_Thickness"); err != nil {
-		return nil, err
-	}
-	if p.cer, err = get("Cloud_Effective_Radius"); err != nil {
-		return nil, err
-	}
-	if p.cwp, err = get("Cloud_Water_Path"); err != nil {
-		return nil, err
-	}
-	phaseD, err := mod06.Dataset("Cloud_Phase_Infrared")
-	if err != nil {
-		return nil, fmt.Errorf("tile: MOD06: %w", err)
-	}
-	if p.phase, err = phaseD.Uint8s(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func fillCloudStats(t *Tile, p *physProps, cloud []uint8, y0, x0, ts, nx int) {
-	var sumCTP, sumCOT, sumCER, sumCWP float64
-	cloudy, ice := 0, 0
-	for y := y0; y < y0+ts; y++ {
-		base := y * nx
-		for x := x0; x < x0+ts; x++ {
-			i := base + x
-			if cloud[i] == 0 {
-				continue
-			}
-			cloudy++
-			sumCTP += float64(p.ctp[i])
-			sumCOT += float64(p.cot[i])
-			sumCER += float64(p.cer[i])
-			sumCWP += float64(p.cwp[i])
-			if p.phase[i] == 2 {
-				ice++
-			}
-		}
-	}
-	t.CloudFrac = float32(cloudy) / float32(ts*ts)
-	if cloudy > 0 {
-		t.MeanCTP = float32(sumCTP / float64(cloudy))
-		t.MeanCOT = float32(sumCOT / float64(cloudy))
-		t.MeanCER = float32(sumCER / float64(cloudy))
-		t.MeanCWP = float32(sumCWP / float64(cloudy))
-		t.IcePhaseFrac = float32(ice) / float32(cloudy)
-	}
 }
