@@ -75,7 +75,7 @@ func NewPipeline(cfg Config, labeler *Labeler) (*Pipeline, error) {
 }
 
 // Engine hosts N isolated workflow runs in one process, sharing model
-// weights, decode arenas, and per-tenant archive quotas across them.
+// weights and per-tenant archive quotas across them.
 type Engine = core.Engine
 
 // EngineOptions tunes a new Engine.

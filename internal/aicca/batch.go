@@ -143,7 +143,7 @@ func (b *BatchLabeler) LabelTiles(tiles []*tile.Tile) error {
 
 // lead runs one flush for the caller at the head of the backlog: its job
 // plus the followers that fit in MaxTiles share one Encode call (one pass
-// through the model arena), then leadership passes to the next arrival.
+// through the tensor pool), then leadership passes to the next arrival.
 func (b *BatchLabeler) lead() error {
 	b.mu.Lock()
 	n, count := 1, len(b.pending[0].tiles)

@@ -2,8 +2,8 @@
 // It mechanizes the concurrency and resource invariants this codebase has
 // already paid to learn in review (see DESIGN.md §10): cancellable channel
 // operations in orchestration code, no sleep-polling in library loops,
-// joined goroutines, checked Close/Sync/Flush/Rename errors, paired
-// tensor-arena Get/Put, and paired trace-span Begin/End.
+// joined goroutines, checked Close/Sync/Flush/Rename errors, and paired
+// tensor-pool Get/Put.
 //
 // The suite is deliberately stdlib-only — go/parser, go/ast, go/types and
 // the source-mode go/importer — because the module is zero-dependency and

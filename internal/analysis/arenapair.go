@@ -2,29 +2,26 @@ package analysis
 
 import "go/ast"
 
-// ArenaPair keeps the tensor arenas honest: an arena only amortizes
+// ArenaPair keeps the tensor pool honest: pooling only amortizes
 // allocations (PR 1's 305→15 allocs/op win) if every Get is returned
 // with a Put. A function that Gets and never Puts silently regresses the
 // hot path back to the allocator. The check is per function declaration
 // and covers both ownership classes the tensor package hands out:
 //
-//   - Tensors: Get/Put on *tensor.LocalArena. A function calling Get
-//     must either call Put (directly, deferred, or in a nested literal)
-//     or visibly transfer ownership by returning the gotten tensor — the
+//   - Tensors: tensor.Get/tensor.Put. A function calling Get must either
+//     call Put (directly, deferred, or in a nested literal) or visibly
+//     transfer ownership by returning the gotten tensor — the
 //     Layer.Infer contract, where the caller recycles.
-//   - Shards: Acquire/Release on *tensor.ShardedArena. A function that
-//     checks a LocalArena out of the pool must check it back in, or
-//     return it to the caller.
-//   - Int8 scratch: GetI8/PutI8 on the same arena — the quantized
-//     inference path's activation and im2col buffers. They form their
-//     own ownership class: a PutI8 does not excuse a leaked float
-//     tensor, nor vice versa.
+//   - Int8 scratch: tensor.GetI8/tensor.PutI8 — the quantized inference
+//     path's activation and im2col buffers. They form their own
+//     ownership class: a PutI8 does not excuse a leaked float tensor,
+//     nor vice versa.
 //
 // Any other transfer (storing the tensor in a field, handing it to a
 // goroutine) carries an ignore directive naming the new owner.
 var ArenaPair = &Analyzer{
 	Name: "arenapair",
-	Doc:  "a function that calls Get on a tensor.LocalArena must Put the tensor back, and one that calls ShardedArena.Acquire must Release the shard — or return it to the caller, or document the ownership transfer with an ignore directive",
+	Doc:  "a function that calls tensor.Get (or GetI8) must Put (or PutI8) the buffer back, return it to the caller, or document the ownership transfer with an ignore directive",
 	Run:  runArenaPair,
 }
 
@@ -41,8 +38,8 @@ func runArenaPair(pass *Pass) {
 }
 
 func checkArenaPairs(pass *Pass, fd *ast.FuncDecl) {
-	var gets, getI8s, acquires []*ast.CallExpr
-	puts, putI8s, releases := 0, 0, 0
+	var gets, getI8s []*ast.CallExpr
+	puts, putI8s := 0, 0
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -50,22 +47,18 @@ func checkArenaPairs(pass *Pass, fd *ast.FuncDecl) {
 		}
 		fn := calleeFunc(pass.Info, call)
 		switch {
-		case isMethodOn(fn, tensorPkg, "LocalArena", "Get"):
+		case isPkgFunc(fn, tensorPkg, "Get"):
 			gets = append(gets, call)
-		case isMethodOn(fn, tensorPkg, "LocalArena", "Put"):
+		case isPkgFunc(fn, tensorPkg, "Put"):
 			puts++
-		case isMethodOn(fn, tensorPkg, "LocalArena", "GetI8"):
+		case isPkgFunc(fn, tensorPkg, "GetI8"):
 			getI8s = append(getI8s, call)
-		case isMethodOn(fn, tensorPkg, "LocalArena", "PutI8"):
+		case isPkgFunc(fn, tensorPkg, "PutI8"):
 			putI8s++
-		case isMethodOn(fn, tensorPkg, "ShardedArena", "Acquire"):
-			acquires = append(acquires, call)
-		case isMethodOn(fn, tensorPkg, "ShardedArena", "Release"):
-			releases++
 		}
 		return true
 	})
-	// Any Put (or Release) in the function is taken as evidence of pairing
+	// Any Put in the function is taken as evidence of pairing
 	// discipline; per-value matching is the reviewer's job, count matching
 	// is ours.
 	var parents map[ast.Node]ast.Node
@@ -81,17 +74,14 @@ func checkArenaPairs(pass *Pass, fd *ast.FuncDecl) {
 		}
 	}
 	if len(gets) > 0 && puts == 0 {
-		flag(gets, "tensor arena Get without any Put in %s; the tensor never returns to the arena")
+		flag(gets, "tensor.Get without any Put in %s; the tensor never returns to the pool")
 	}
 	if len(getI8s) > 0 && putI8s == 0 {
-		flag(getI8s, "tensor arena GetI8 without any PutI8 in %s; the int8 scratch never returns to the arena")
-	}
-	if len(acquires) > 0 && releases == 0 {
-		flag(acquires, "ShardedArena Acquire without any Release in %s; the shard never returns to the checkout pool")
+		flag(getI8s, "tensor.GetI8 without any PutI8 in %s; the int8 scratch never returns to the pool")
 	}
 }
 
-// returnsOwnership reports whether the Get/Acquire call's result is
+// returnsOwnership reports whether the Get call's result is
 // returned by the function, directly or through the variable it is
 // assigned to.
 func returnsOwnership(pass *Pass, parents map[ast.Node]ast.Node, fd *ast.FuncDecl, get *ast.CallExpr) bool {

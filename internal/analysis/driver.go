@@ -16,7 +16,6 @@ func DefaultAnalyzers() []*Analyzer {
 		LoneGoroutine,
 		CloseCheck,
 		ArenaPair,
-		SpanPair,
 		PkgDoc,
 		LockGuard,
 		CtxFlow,

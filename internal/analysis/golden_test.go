@@ -128,7 +128,6 @@ func TestSleepPollFixture(t *testing.T)     { runFixture(t, SleepPoll) }
 func TestLoneGoroutineFixture(t *testing.T) { runFixture(t, LoneGoroutine) }
 func TestCloseCheckFixture(t *testing.T)    { runFixture(t, CloseCheck) }
 func TestArenaPairFixture(t *testing.T)     { runFixture(t, ArenaPair) }
-func TestSpanPairFixture(t *testing.T)      { runFixture(t, SpanPair) }
 func TestPkgDocFixture(t *testing.T)        { runFixture(t, PkgDoc) }
 func TestLockGuardFixture(t *testing.T)     { runFixture(t, LockGuard) }
 func TestCtxFlowFixture(t *testing.T)       { runFixture(t, CtxFlow) }
@@ -184,7 +183,7 @@ func TestScoping(t *testing.T) {
 			t.Errorf("%s.AppliesTo(%s) = %v, want %v", c.analyzer.Name, c.pkgPath, got, c.applies)
 		}
 	}
-	for _, a := range []*Analyzer{CloseCheck, ArenaPair, SpanPair, PkgDoc} {
+	for _, a := range []*Analyzer{CloseCheck, ArenaPair, PkgDoc} {
 		if a.AppliesTo != nil {
 			t.Errorf("%s should be module-wide (nil AppliesTo)", a.Name)
 		}

@@ -58,3 +58,21 @@ func TestReadFileReadsWholeFile(t *testing.T) {
 		t.Fatalf("missing file: err %v", err)
 	}
 }
+
+// TestClassFloorInBytes checks the smallest class is 4 KiB for every
+// element type, so a float32 buffer holds a quarter as many elements.
+// A buffer put with a foreign capacity may serve the class, so the
+// capacity is checked against the class, not pinned.
+func TestClassFloorInBytes(t *testing.T) {
+	inClass := func(c, lo int) bool { return c >= lo && c < 2*lo }
+	b, f, q := Get(1), GetFloat32(1), GetInt8(1)
+	if !inClass(cap(b), 4096) || !inClass(cap(f), 1024) || !inClass(cap(q), 4096) {
+		t.Fatalf("floor capacities byte %d float32 %d int8 %d, want classes 4096/1024/4096", cap(b), cap(f), cap(q))
+	}
+	Put(b)
+	PutFloat32(f)
+	PutInt8(q)
+	if f := GetFloat32(1<<20 + 1); len(f) != 1<<20+1 || !inClass(cap(f), 1<<21) {
+		t.Fatalf("GetFloat32(2^20+1): len %d cap %d", len(f), cap(f))
+	}
+}

@@ -13,15 +13,14 @@ import (
 // plane's execution substrate. What is expensive or shared lives here
 // exactly once: the granule kernel set every in-process run executes on
 // (its model cache keys loaded weights by artifact paths, so a hundred
-// runs of the same campaign share one weight copy, and its decode
-// scratch arena is recycled across runs), the worker fleet, and the
-// per-tenant archive quotas. What belongs to one run — its config,
-// metric registry, health tracker, provenance store, and stage objects —
-// lives on the Run values NewRun hands out, so concurrent runs never
-// collide on state.
+// runs of the same campaign share one weight copy), the worker fleet,
+// and the per-tenant archive quotas. What belongs to one run — its
+// config, metric registry, health tracker, provenance store, and stage
+// objects — lives on the Run values NewRun hands out, so concurrent runs
+// never collide on state.
 type Engine struct {
 	quotas  *laads.QuotaPool   // per-tenant archive request quotas (nil = unlimited)
-	kernels *fleet.Kernels     // granule kernel, weights cache and decode arena of in-process runs
+	kernels *fleet.Kernels     // granule kernel and weights cache of in-process runs
 	fleet   *fleet.Coordinator // worker fleet (nil = fleet distribution unavailable)
 }
 
@@ -72,8 +71,7 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 	}
 	// Resolve the labeler now, so a run without one fails here rather
 	// than on its first task.
-	labeler, err := e.kernels.Labeler(cfg.ModelPath, cfg.CodebookPath)
-	if err != nil {
+	if _, err := e.kernels.Labeler(cfg.ModelPath, cfg.CodebookPath); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var reg *metrics.Registry
@@ -100,7 +98,6 @@ func (e *Engine) NewRun(cfg Config, opts RunOptions) (*Run, error) {
 		}
 		r.fleet = e.fleet
 	}
-	labeler.Model.Arena().Instrument(r.metrics, "ricc")
 	return r, nil
 }
 

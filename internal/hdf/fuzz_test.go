@@ -57,6 +57,7 @@ func FuzzDecode(f *testing.F) {
 	corrupt := append([]byte{}, valid...)  // flip one payload byte
 	corrupt[len(corrupt)/2] ^= 0x40
 	f.Add(corrupt)
+	f.Add(overflowFile(f)) // dims whose product wraps to 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := Decode(data)
 		if err != nil {

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 )
@@ -191,8 +192,8 @@ func (d *Dataset) Float32s() ([]float32, error) {
 }
 
 // Float32sInto decodes the dataset into dst, which must have length
-// Len(). It is Float32s without the allocation, for callers recycling
-// granule scratch through an arena.
+// Len(). It is Float32s without the allocation, for callers that bring
+// their own buffer.
 func (d *Dataset) Float32sInto(dst []float32) error {
 	if d.DType != Float32 {
 		return fmt.Errorf("hdf: dataset %q is %v, want float32", d.Name, d.DType)
@@ -505,14 +506,15 @@ func Decode(data []byte) (*File, error) {
 			return nil, err
 		}
 		dims := make([]int, rank)
-		elems := 1
+		elems, fits := uint64(1), true
 		for j := range dims {
 			v, err := d.u32()
 			if err != nil {
 				return nil, err
 			}
 			dims[j] = int(v)
-			elems *= dims[j]
+			hi, lo := bits.Mul64(elems, uint64(v))
+			elems, fits = lo, fits && hi == 0
 		}
 		nbytes, err := d.u64()
 		if err != nil {
@@ -521,7 +523,11 @@ func Decode(data []byte) (*File, error) {
 		if rank == 0 {
 			elems = 0
 		}
-		if want := uint64(elems * dtype.Size()); nbytes != want {
+		hi, want := bits.Mul64(elems, uint64(dtype.Size()))
+		if !fits || hi != 0 || want > math.MaxInt {
+			return nil, fmt.Errorf("hdf: dataset %q: dims %v of %v overflow a byte count", name, dims, dtype)
+		}
+		if nbytes != want {
 			return nil, fmt.Errorf("hdf: dataset %q: %d bytes for dims %v of %v (want %d)", name, nbytes, dims, dtype, want)
 		}
 		raw, err := d.bytes(int(nbytes))

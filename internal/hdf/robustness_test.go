@@ -1,10 +1,43 @@
 package hdf
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// overflowFile encodes a CRC-valid file holding one float32 dataset,
+// "huge", whose dims multiply to 2^64 elements while it carries 0
+// bytes: the product wraps to 0 in int arithmetic.
+func overflowFile(t testing.TB) []byte {
+	t.Helper()
+	f := NewFile()
+	huge := &Dataset{Name: "huge", DType: Float32, Dims: []int{65536, 65536, 65536, 65536}}
+	if err := f.Add(huge); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsOverflowingDims requires Decode to refuse a dataset
+// whose dims overflow an element or byte count, naming the dataset,
+// rather than decode it with a Len() that reads 0.
+func TestDecodeRejectsOverflowingDims(t *testing.T) {
+	f, err := Decode(overflowFile(t))
+	if err == nil {
+		d, _ := f.Dataset("huge")
+		t.Fatalf("decoded dims %v with Len() %d; want an error", d.Dims, d.Len())
+	}
+	if !strings.Contains(err.Error(), `"huge"`) {
+		t.Fatalf("error %q does not name the dataset", err)
+	}
+}
 
 func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 	prop := func(seed int64, n uint16) (ok bool) {

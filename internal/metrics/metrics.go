@@ -15,8 +15,7 @@
 //     only atomics. The registry mutex is touched at registration and
 //     snapshot time, never per-observation.
 //   - A nil *Registry is valid everywhere and hands out throwaway
-//     metrics, mirroring the nil *tensor.LocalArena convention, so
-//     library code can instrument unconditionally.
+//     metrics, so library code can instrument unconditionally.
 package metrics
 
 import (

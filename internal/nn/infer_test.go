@@ -3,9 +3,11 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/eoml/eoml/internal/bufpool"
 	"github.com/eoml/eoml/internal/tensor"
 )
 
@@ -48,9 +50,9 @@ func inferDiff(got, want *tensor.T) float64 {
 	return worst
 }
 
-// TestInferConcurrent runs concurrent Infer calls on one model, each
-// with a private arena, under the race detector: Infer must not touch
-// shared layer state the way Forward does.
+// TestInferConcurrent runs concurrent Infer calls on one model under
+// the race detector: Infer must not touch shared layer state the way
+// Forward does, and no two calls may share a pooled buffer.
 func TestInferConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	model := riccLikeStack(t, r)
@@ -64,14 +66,13 @@ func TestInferConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := tensor.NewLocal()
 			for iter := 0; iter < 5; iter++ {
-				got := model.Infer(x, arena)
+				got := model.Infer(x)
 				if d := inferDiff(got, want); d > 1e-5 {
 					t.Errorf("worst relative diff %g", d)
 					return
 				}
-				arena.Put(got)
+				tensor.Put(got)
 			}
 		}()
 	}
@@ -83,7 +84,7 @@ func TestInferConcurrent(t *testing.T) {
 // the identical bias/NCHW epilogue, so any drift means the batched
 // kernels diverged. Covers N=1 and batch sizes that are not multiples
 // of the GEMM register block, each over repeated passes that recycle
-// the arena's buffers.
+// pooled buffers.
 func TestInferBatchMatchesForward(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	model := riccLikeStack(t, r)
@@ -93,10 +94,8 @@ func TestInferBatchMatchesForward(t *testing.T) {
 			x.Data[i] = float32(r.Float64())
 		}
 		want := model.Forward(x)
-		shards := tensor.NewShardedArena()
-		arena := shards.Acquire()
 		for pass := 0; pass < 3; pass++ { // repeated passes hit recycled buffers
-			got := model.Infer(x, arena)
+			got := model.Infer(x)
 			if !got.SameShape(want) {
 				t.Fatalf("n=%d pass %d: shape %v, want %v", n, pass, got.Shape, want.Shape)
 			}
@@ -106,9 +105,8 @@ func TestInferBatchMatchesForward(t *testing.T) {
 						n, pass, i, got.Data[i], want.Data[i])
 				}
 			}
-			arena.Put(got)
+			tensor.Put(got)
 		}
-		shards.Release(arena)
 	}
 }
 
@@ -138,24 +136,21 @@ func TestInferBatchQ8CloseToFloat(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(r.Float64())
 	}
-	want := model.Infer(x, nil)
-	shards := tensor.NewShardedArena()
-	arena := shards.Acquire()
-	defer shards.Release(arena)
+	want := model.Infer(x)
 	for pass := 0; pass < 3; pass++ { // repeated passes hit recycled buffers
-		got := model.InferBatchQ8(x, arena)
+		got := model.InferBatchQ8(x)
 		if !got.SameShape(want) {
 			t.Fatalf("pass %d: shape %v, want %v", pass, got.Shape, want.Shape)
 		}
 		if cos := cosine32(got.Data, want.Data); cos < 0.995 {
 			t.Fatalf("pass %d: cosine vs float path %g < 0.995", pass, cos)
 		}
-		arena.Put(got)
+		tensor.Put(got)
 	}
 }
 
 // TestInferBatchQ8Deterministic demands bit-identical output across
-// calls and allocators: int32 accumulation makes the int8 path exactly
+// calls that recycle pooled buffers: int32 accumulation makes the int8 path exactly
 // reproducible, unlike the float path whose parallel split is benign
 // only because the float kernels are also order-fixed.
 func TestInferBatchQ8Deterministic(t *testing.T) {
@@ -165,17 +160,16 @@ func TestInferBatchQ8Deterministic(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(r.Float64())
 	}
-	first := model.InferBatchQ8(x, nil)
-	arena := tensor.NewLocal()
+	first := model.InferBatchQ8(x)
 	for pass := 0; pass < 3; pass++ {
-		got := model.InferBatchQ8(x, arena)
+		got := model.InferBatchQ8(x)
 		for i := range first.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(first.Data[i]) {
 				t.Fatalf("pass %d: [%d] = %g, first run %g (want bit-identical)",
 					pass, i, got.Data[i], first.Data[i])
 			}
 		}
-		arena.Put(got)
+		tensor.Put(got)
 	}
 }
 
@@ -190,13 +184,12 @@ func TestInferBatchQ8RequantizesAfterForward(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32(r.Float64())
 	}
-	var a *tensor.LocalArena // direct layer call: degrade to plain allocation
-	before := d.InferBatchQ8(x, a)
+	before := d.InferBatchQ8(x)
 	d.Forward(x) // the training path: invalidates the quantized cache
 	for i := range d.w.W.Data {
 		d.w.W.Data[i] *= 2
 	}
-	after := d.InferBatchQ8(x, a)
+	after := d.InferBatchQ8(x)
 	for i := range before.Data {
 		if after.Data[i] != 2*before.Data[i] {
 			t.Fatalf("[%d] = %g after doubling W, want %g — stale quantized weights?",
@@ -205,16 +198,67 @@ func TestInferBatchQ8RequantizesAfterForward(t *testing.T) {
 	}
 }
 
-func TestInferBatchNilAllocator(t *testing.T) {
+// poisonPools fills the float32 and int8 pools with NaN and 0xA5
+// buffers, three of every class from the 4 KiB floor to 1 MiB (the
+// largest scratch of riccLikeStack at n=7 is 252 KiB), so a kernel that
+// leaves any pooled element unwritten reads poison.
+func poisonPools() {
+	var fs [][]float32
+	var qs [][]int8
+	for size := 4096; size <= 1<<20; size *= 2 {
+		for k := 0; k < 3; k++ {
+			f := bufpool.GetFloat32(size / 4)
+			for i := range f {
+				f[i] = float32(math.NaN())
+			}
+			q := bufpool.GetInt8(size)
+			for i := range q {
+				q[i] = -0x5B // 0xA5
+			}
+			fs, qs = append(fs, f), append(qs, q)
+		}
+	}
+	for i := range fs {
+		bufpool.PutFloat32(fs[i])
+		bufpool.PutInt8(qs[i])
+	}
+}
+
+// TestInferPoisonedPoolMatchesForward runs both inference paths out of
+// poisoned pools: Infer must still equal Forward bit for bit, and
+// InferBatchQ8 must equal its own output on a clean pool (two GCs empty
+// every sync.Pool, so its scratch is freshly zeroed).
+func TestInferPoisonedPoolMatchesForward(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	model := riccLikeStack(t, r)
-	x := tensor.New(2, 3, 16, 16)
-	for i := range x.Data {
-		x.Data[i] = float32(r.Float64())
-	}
-	want := model.Forward(x)
-	got := model.Infer(x, nil)
-	if d := inferDiff(got, want); d != 0 {
-		t.Fatalf("worst relative diff %g, want bit-identical", d)
+	for _, n := range []int{1, 2, 7} {
+		x := tensor.New(n, 3, 16, 16)
+		for i := range x.Data {
+			x.Data[i] = float32(r.Float64())
+		}
+		want := model.Forward(x)
+		runtime.GC()
+		runtime.GC()
+		cleanQ8 := model.InferBatchQ8(x).Clone()
+		for pass := 0; pass < 3; pass++ {
+			poisonPools()
+			got := model.Infer(x)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("n=%d pass %d: Infer[%d]=%g, Forward=%g (want bit-identical)",
+						n, pass, i, got.Data[i], want.Data[i])
+				}
+			}
+			tensor.Put(got)
+			poisonPools()
+			gotQ8 := model.InferBatchQ8(x)
+			for i := range cleanQ8.Data {
+				if math.Float32bits(gotQ8.Data[i]) != math.Float32bits(cleanQ8.Data[i]) {
+					t.Fatalf("n=%d pass %d: InferBatchQ8[%d]=%g, clean pool %g (want bit-identical)",
+						n, pass, i, gotQ8.Data[i], cleanQ8.Data[i])
+				}
+			}
+			tensor.Put(gotQ8)
+		}
 	}
 }

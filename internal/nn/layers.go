@@ -35,19 +35,19 @@ func newParam(name string, shape ...int) *Param {
 // and returns the gradient with respect to the layer input.
 //
 // Infer and InferBatchQ8 are the inference-only passes: they save no
-// state, so concurrent calls on the same layer are safe as long as each
-// caller brings its own arena. Infer is the float path: convolutions
-// run im2col + one blocked GEMM for the whole batch. InferBatchQ8 is
-// Infer with the GEMM layers running the symmetric int8 kernel
-// (weights quantized once per output channel and cached, activations
-// quantized per tensor per call) — Infer is its accuracy oracle.
-// Scratch and output buffers come from the arena (a nil arena degrades
-// to plain allocation); see infer.go for the buffer ownership rules.
+// state, so concurrent calls on the same layer are safe. Infer is the
+// float path: convolutions run im2col + one blocked GEMM for the whole
+// batch. InferBatchQ8 is Infer with the GEMM layers running the
+// symmetric int8 kernel (weights quantized once per output channel and
+// cached, activations quantized per tensor per call) — Infer is its
+// accuracy oracle.
+// Scratch and output buffers come from tensor.Get; see infer.go for the
+// buffer ownership rules.
 type Layer interface {
 	Forward(x *tensor.T) *tensor.T
 	Backward(grad *tensor.T) *tensor.T
-	Infer(x *tensor.T, a *tensor.LocalArena) *tensor.T
-	InferBatchQ8(x *tensor.T, a *tensor.LocalArena) *tensor.T
+	Infer(x *tensor.T) *tensor.T
+	InferBatchQ8(x *tensor.T) *tensor.T
 	Params() []*Param
 	Name() string
 }

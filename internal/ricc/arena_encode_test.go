@@ -39,10 +39,10 @@ func TestEncodeMatchesNoArena(t *testing.T) {
 	}
 }
 
-// TestEncodeArenaConcurrent proves arena buffers never alias across
-// concurrent EncodeBatch calls: every concurrent result must be bit-identical
-// to the sequential one, across repeated iterations that maximally churn
-// the pools.
+// TestEncodeArenaConcurrent proves pooled buffers never alias across
+// concurrent EncodeBatch and EncodeBatchQ8 calls: every concurrent
+// result must be bit-identical to the sequential one, across repeated
+// iterations that maximally churn the pools.
 func TestEncodeArenaConcurrent(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epochs = 2
@@ -55,6 +55,10 @@ func TestEncodeArenaConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := m.EncodeBatch(tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refQ8, err := m.EncodeBatchQ8(tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +77,15 @@ func TestEncodeArenaConcurrent(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, ref) {
 					t.Error("concurrent EncodeBatch diverged from sequential result")
+					return
+				}
+				gotQ8, err := m.EncodeBatchQ8(tiles)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(gotQ8, refQ8) {
+					t.Error("concurrent EncodeBatchQ8 diverged from sequential result")
 					return
 				}
 			}

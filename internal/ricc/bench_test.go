@@ -60,8 +60,8 @@ func BenchmarkRICCEncode(b *testing.B) {
 // BenchmarkEncodeArena measures the encode hot path two ways over one
 // trained model and tile set: the allocate-everything baseline
 // (EncodeNoArena, training Forward kernels) and the production
-// sharded-arena batch-GEMM path (EncodeBatch). Buffer reuse must not
-// cost wall-clock: arena ns/op ≤ noarena.
+// pooled batch-GEMM path (EncodeBatch). Buffer reuse must not cost
+// wall-clock: pooled ns/op ≤ noarena.
 func BenchmarkEncodeArena(b *testing.B) {
 	m, tiles := benchModel(b)
 	run := func(b *testing.B, encode func([]*tile.Tile) ([][]float32, error)) {
@@ -74,7 +74,7 @@ func BenchmarkEncodeArena(b *testing.B) {
 		b.ReportMetric(float64(len(tiles)), "tiles/op")
 	}
 	b.Run("noarena", func(b *testing.B) { run(b, m.EncodeNoArena) })
-	b.Run("arena", func(b *testing.B) { run(b, m.EncodeBatch) })
+	b.Run("pooled", func(b *testing.B) { run(b, m.EncodeBatch) })
 }
 
 // BenchmarkEncodeQ8 compares the float32 batch-GEMM encode against the

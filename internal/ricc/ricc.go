@@ -70,12 +70,6 @@ type Model struct {
 	Norm    *Normalizer
 	encoder *nn.Sequential
 	decoder *nn.Sequential
-	// shards recycles input, scratch, and activation buffers across
-	// inference calls: each EncodeBatch/Reconstruct call checks a private
-	// LocalArena out for its duration, so concurrent calls never contend
-	// on the per-tensor fast path and steady-state serving stops
-	// regrowing the heap.
-	shards *tensor.ShardedArena
 }
 
 // NewModel builds an untrained model with deterministic initialization.
@@ -120,24 +114,12 @@ func NewModel(cfg Config) (*Model, error) {
 		nn.NewUpsample2x("dec.up2"),
 		d2, nn.NewSigmoid("dec.out"),
 	)
-	return &Model{
-		Cfg: cfg, encoder: encoder, decoder: decoder,
-		shards: tensor.NewShardedArena(),
-	}, nil
+	return &Model{Cfg: cfg, encoder: encoder, decoder: decoder}, nil
 }
 
 // Params returns all trainable parameters.
 func (m *Model) Params() []*nn.Param {
 	return append(m.encoder.Params(), m.decoder.Params()...)
-}
-
-// Arena returns the model's sharded buffer arena (nil on a nil model),
-// so callers can instrument its reuse counters.
-func (m *Model) Arena() *tensor.ShardedArena {
-	if m == nil {
-		return nil
-	}
-	return m.shards
 }
 
 // Normalizer rescales tile radiances to [0, 1] per band using the range
@@ -202,7 +184,7 @@ func TilesToTensor(tiles []*tile.Tile, norm *Normalizer) (*tensor.T, error) {
 
 // fillTileTensor packs tiles into dst, which must have shape
 // [len(tiles), nb, ts, ts]. Every element is written, so dirty
-// arena-recycled buffers are fine.
+// pooled buffers are fine.
 func fillTileTensor(dst *tensor.T, tiles []*tile.Tile, norm *Normalizer) error {
 	nb, ts := dst.Shape[1], dst.Shape[2]
 	npix := ts * ts
@@ -298,13 +280,12 @@ func (m *Model) Train(tiles []*tile.Tile) ([]EpochStats, error) {
 	return history, nil
 }
 
-// encodeWith is the shared encode core: pack tiles into arena
+// encodeWith is the shared encode core: pack tiles into pooled
 // buffers in bounded batches, run the encoder through the given
 // inference step (the float batch-GEMM path or the int8 path), and copy
 // the latent rows out into one caller-owned backing slab (one
 // allocation for the whole call).
-func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
-	infer func(*tensor.T, *tensor.LocalArena) *tensor.T) ([][]float32, error) {
+func (m *Model) encodeWith(tiles []*tile.Tile, infer func(*tensor.T) *tensor.T) ([][]float32, error) {
 	if m.Norm == nil {
 		return nil, fmt.Errorf("ricc: model has no normalizer; train or load first")
 	}
@@ -324,15 +305,15 @@ func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
 			return nil, fmt.Errorf("ricc: %d-band %d×%d tiles, model takes %d-band %d×%d",
 				nb, ts, ts, m.Cfg.Channels, m.Cfg.TileSize, m.Cfg.TileSize)
 		}
-		x := a.Get(n, nb, ts, ts)
+		x := tensor.Get(n, nb, ts, ts)
 		if err := fillTileTensor(x, tiles[start:end], m.Norm); err != nil {
-			a.Put(x)
+			tensor.Put(x)
 			return nil, err
 		}
-		z := infer(x, a)
+		z := infer(x)
 		copy(backing[start*d:end*d], z.Data[:n*d])
-		a.Put(z)
-		a.Put(x)
+		tensor.Put(z)
+		tensor.Put(x)
 		for i := start; i < end; i++ {
 			out[i] = backing[i*d : (i+1)*d : (i+1)*d]
 		}
@@ -343,14 +324,10 @@ func (m *Model) encodeWith(tiles []*tile.Tile, a *tensor.LocalArena,
 // EncodeBatch maps tiles to latent vectors using the trained model: the
 // whole batch goes through one blocked GEMM per layer (nn.Infer),
 // with input packing, the im2col matrix, and activations all recycled
-// through a LocalArena shard checked out for the duration of the call.
-// Concurrent calls each get their own shard, so the per-tensor fast
-// path never synchronizes. The returned rows are packed into one
-// backing slab owned by the caller.
+// through tensor.Get/Put. Concurrent calls are safe. The returned rows
+// are packed into one backing slab owned by the caller.
 func (m *Model) EncodeBatch(tiles []*tile.Tile) ([][]float32, error) {
-	shard := m.shards.Acquire()
-	defer m.shards.Release(shard)
-	return m.encodeWith(tiles, shard, m.encoder.Infer)
+	return m.encodeWith(tiles, m.encoder.Infer)
 }
 
 // EncodeBatchQ8 is EncodeBatch through the symmetric int8 inference
@@ -360,14 +337,12 @@ func (m *Model) EncodeBatch(tiles []*tile.Tile) ([][]float32, error) {
 // label-flip rate and a latent cosine-similarity floor between the two.
 // Output is bit-exactly reproducible run to run.
 func (m *Model) EncodeBatchQ8(tiles []*tile.Tile) ([][]float32, error) {
-	shard := m.shards.Acquire()
-	defer m.shards.Release(shard)
-	return m.encodeWith(tiles, shard, m.encoder.InferBatchQ8)
+	return m.encodeWith(tiles, m.encoder.InferBatchQ8)
 }
 
 // EncodeNoArena is the reference implementation of EncodeBatch with no
 // buffer reuse: the stateful Forward path plus one fresh row copy per
-// tile. It is the oracle the arena path is tested against and the
+// tile. It is the oracle the pooled path is tested against and the
 // baseline BenchmarkEncodeArena measures allocation savings from.
 func (m *Model) EncodeNoArena(tiles []*tile.Tile) ([][]float32, error) {
 	if m.Norm == nil {
@@ -404,13 +379,11 @@ func (m *Model) Reconstruct(tiles []*tile.Tile) (*tensor.T, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := m.shards.Acquire()
-	defer m.shards.Release(a)
-	z := m.encoder.Infer(x, a)
-	y := m.decoder.Infer(z, a)
-	a.Put(z)
-	out := y.Clone() // hand the caller its own buffer, recycle the arena's
-	a.Put(y)
+	z := m.encoder.Infer(x)
+	y := m.decoder.Infer(z)
+	tensor.Put(z)
+	out := y.Clone() // hand the caller its own buffer, recycle the pool's
+	tensor.Put(y)
 	return out, nil
 }
 
@@ -426,14 +399,12 @@ func (m *Model) InvarianceError(tiles []*tile.Tile) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	a := m.shards.Acquire()
-	defer m.shards.Release(a)
-	z := m.encoder.Infer(x, a)
+	z := m.encoder.Infer(x)
 	n, d := z.Shape[0], z.Shape[1]
 	var total float64
 	count := 0
 	for r := 1; r <= 3; r++ {
-		zr := m.encoder.Infer(tensor.Rot90(x, r), a)
+		zr := m.encoder.Infer(tensor.Rot90(x, r))
 		for i := 0; i < n; i++ {
 			var diff, norm float64
 			for j := 0; j < d; j++ {
@@ -445,8 +416,8 @@ func (m *Model) InvarianceError(tiles []*tile.Tile) (float64, error) {
 			total += math.Sqrt(diff) / (math.Sqrt(norm) + 1e-9)
 			count++
 		}
-		a.Put(zr)
+		tensor.Put(zr)
 	}
-	a.Put(z)
+	tensor.Put(z)
 	return total / float64(count), nil
 }

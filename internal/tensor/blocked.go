@@ -79,8 +79,8 @@ func MatMul(a, b *T) *T {
 }
 
 // MatMulInto computes C = A·B into out, which must already have shape
-// [m,n]. Prior contents of out are overwritten, so arena-recycled
-// buffers need no zeroing.
+// [m,n]. Prior contents of out are overwritten, so pooled buffers need
+// no zeroing.
 func MatMulInto(a, b, out *T) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmul %v × %v", a.Shape, b.Shape))

@@ -194,22 +194,6 @@ func TestIm2ColQ8MatchesFloatIm2Col(t *testing.T) {
 	}
 }
 
-func TestLocalArenaI8Reuse(t *testing.T) {
-	a := NewLocal()
-	s := a.GetI8(100)
-	a.PutI8(s)
-	_ = a.GetI8(90)
-	gets, news, puts := a.Stats()
-	if gets != 2 || news != 1 || puts != 1 {
-		t.Fatalf("stats gets=%d news=%d puts=%d, want 2/1/1", gets, news, puts)
-	}
-	var nilArena *LocalArena
-	if got := nilArena.GetI8(5); len(got) != 5 {
-		t.Fatalf("nil LocalArena GetI8 len %d", len(got))
-	}
-	nilArena.PutI8(nil) // must not panic
-}
-
 // TestQuantizeSpanBitExact pins the AVX2 quantize kernel to the scalar
 // quantizeVal element by element, across every 32-wide body/tail split
 // and the special values the scalar branches handle: NaN, ±Inf, values

@@ -169,34 +169,6 @@ func (s *Spans) Add(name string, start, end float64) {
 	s.spans = append(s.spans, Span{Name: name, Start: start, End: end})
 }
 
-// SpanHandle is an in-progress span opened by Begin. The span is not
-// recorded until End runs — eomlvet's spanpair check enforces that every
-// Begin has a reachable End (or hands the handle to an owner that does).
-type SpanHandle struct {
-	s     *Spans
-	name  string
-	start float64
-}
-
-// Begin opens a named span at start seconds. The returned handle's End
-// records the completed span; a handle that is never Ended records
-// nothing.
-func (s *Spans) Begin(name string, start float64) *SpanHandle {
-	return &SpanHandle{s: s, name: name, start: start}
-}
-
-// End completes the span at end seconds, recording it (overwriting any
-// prior span with the same name, like Add).
-func (h *SpanHandle) End(end float64) {
-	h.s.Add(h.name, h.start, end)
-}
-
-// Name returns the span name the handle was begun with.
-func (h *SpanHandle) Name() string { return h.name }
-
-// Start returns the span's start time in seconds.
-func (h *SpanHandle) Start() float64 { return h.start }
-
 // Get fetches a span by name.
 func (s *Spans) Get(name string) (Span, bool) {
 	s.mu.Lock()

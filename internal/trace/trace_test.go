@@ -108,26 +108,3 @@ func TestSpansRenderTable(t *testing.T) {
 		t.Fatalf("render:\n%s", out)
 	}
 }
-
-func TestSpanBeginEnd(t *testing.T) {
-	sp := NewSpans()
-	h := sp.Begin("inference", 1.5)
-	if h.Name() != "inference" || h.Start() != 1.5 {
-		t.Fatalf("handle = %q/%v", h.Name(), h.Start())
-	}
-	// Nothing is recorded until End.
-	if _, ok := sp.Get("inference"); ok {
-		t.Fatal("span recorded before End")
-	}
-	h.End(4.0)
-	got, ok := sp.Get("inference")
-	if !ok || got.Start != 1.5 || got.End != 4.0 {
-		t.Fatalf("span = %+v ok=%v", got, ok)
-	}
-	// Re-begin + End overwrites, matching Add semantics.
-	sp.Begin("inference", 2.0).End(3.0)
-	got, _ = sp.Get("inference")
-	if got.Start != 2.0 || got.End != 3.0 || len(sp.All()) != 1 {
-		t.Fatalf("overwrite: %+v n=%d", got, len(sp.All()))
-	}
-}

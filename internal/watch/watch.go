@@ -3,9 +3,9 @@
 // once they are final and hands them to a trigger callback exactly once.
 //
 // Finality matters because the paper notes HDF read errors from partially
-// written files. By default a file is final once its size has held still:
-// across two caller-paced scans (ScanOnce) or, under Run, for at least
-// Interval, so a file growing in place is never triggered early. A
+// written files. By default a file is final once two consecutive scans
+// see it at the same size; Run's scans are at least Interval apart, so
+// under Run a file's size must hold for at least Interval. A
 // directory whose writers all publish by temp-file + rename (every tile
 // writer in this repository does) declares it with
 // Config.RenamePublished; a matching name there only ever appears
@@ -34,8 +34,9 @@ type Config struct {
 	Dir string
 	// Pattern filters file names with filepath.Match; empty matches all.
 	Pattern string
-	// Interval is Run's poll period, and how long a file's size must
-	// hold under Run before the default rule calls it final.
+	// Interval is Run's poll period: the least time between two of its
+	// scans, and so the least time a file's size holds before Run calls
+	// it final.
 	Interval time.Duration
 	// RenamePublished declares that every writer into Dir publishes by
 	// rename: it writes under a name IgnoreSuffixes or Pattern excludes
@@ -66,19 +67,12 @@ type Event struct {
 	Size int64
 }
 
-// sighting is the size a not-yet-final file was last seen at, and when
-// that size was first observed.
-type sighting struct {
-	size  int64
-	since time.Time
-}
-
 // Crawler scans a directory tree and emits each final file once.
 type Crawler struct {
 	cfg Config
 
 	mu        sync.Mutex
-	seen      map[string]sighting
+	seen      map[string]int64 // size of each not-yet-final file at the last scan
 	triggered map[string]bool
 }
 
@@ -89,7 +83,7 @@ func NewCrawler(cfg Config) (*Crawler, error) {
 	}
 	return &Crawler{
 		cfg:       cfg,
-		seen:      map[string]sighting{},
+		seen:      map[string]int64{},
 		triggered: map[string]bool{},
 	}, nil
 }
@@ -99,17 +93,12 @@ func NewCrawler(cfg Config) (*Crawler, error) {
 // the scans is the caller's job), or first sighting in a RenamePublished
 // directory. Each file is returned at most once over the crawler's
 // lifetime.
-func (c *Crawler) ScanOnce() ([]Event, error) { return c.scan(0) }
-
-// scan is ScanOnce with the default rule's hold time: a size must have
-// been observed unchanged at two instants at least hold apart.
-func (c *Crawler) scan(hold time.Duration) ([]Event, error) {
+func (c *Crawler) ScanOnce() ([]Event, error) {
 	type entry struct {
 		path string
 		size int64
 	}
 	var found []entry
-	began := time.Now() // no later than any size read below
 	err := filepath.Walk(c.cfg.Dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			// A file may vanish between readdir and stat; skip it.
@@ -143,7 +132,6 @@ func (c *Crawler) scan(hold time.Duration) ([]Event, error) {
 		return nil, err
 	}
 
-	ended := time.Now() // no earlier than any size read above
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var events []Event
@@ -153,11 +141,9 @@ func (c *Crawler) scan(hold time.Duration) ([]Event, error) {
 		}
 		final := c.cfg.RenamePublished
 		if !final {
-			if prev, known := c.seen[f.path]; known && prev.size == f.size {
-				final = began.Sub(prev.since) >= hold
-			} else {
-				c.seen[f.path] = sighting{size: f.size, since: ended}
-			}
+			prev, known := c.seen[f.path]
+			final = known && prev == f.size
+			c.seen[f.path] = f.size
 		}
 		if final {
 			delete(c.seen, f.path)
@@ -181,7 +167,7 @@ func (c *Crawler) Run(ctx context.Context, trigger func(events []Event) error) e
 			return ctx.Err()
 		case <-ticker.C:
 		}
-		events, err := c.scan(c.cfg.Interval)
+		events, err := c.ScanOnce()
 		if err != nil {
 			return err
 		}
